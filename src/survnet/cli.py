@@ -108,15 +108,31 @@ def _merge(args: argparse.Namespace, defaults: dict) -> dict:
                 loaded = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ValidationError(f"cannot read config {config_path}: {exc}") from None
+        if not isinstance(loaded, dict):
+            raise ValidationError(f"config {config_path} must hold a JSON object")
         unknown = set(loaded) - set(defaults)
         if unknown:
             raise ValidationError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in loaded.items():
+            if not _config_type_ok(defaults[key], value):
+                raise ValidationError(
+                    f"config {config_path}: {key!r} has the wrong type: {value!r}"
+                )
         cfg.update(loaded)
     for key in defaults:
         value = getattr(args, key, None)
         if value is not None:
             cfg[key] = value
     return cfg
+
+
+def _config_type_ok(default, value) -> bool:
+    """Config values take the type of their default; None defaults take strings."""
+    if default is None:
+        return value is None or isinstance(value, str)
+    if isinstance(default, float):
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    return type(value) is type(default)
 
 
 def save_model(path, method, time_grid, net, standardizer) -> None:
@@ -141,21 +157,26 @@ def load_model(path):
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise SchemaError(f"cannot read model {path}: {exc}") from None
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{path}: model file must hold a JSON object")
     for key in ("format_version", "method", "grid", "net", "standardizer"):
         if key not in doc:
             raise SchemaError(f"{path}: model file is missing {key!r}")
     if doc["method"] not in METHODS:
         raise SchemaError(f"{path}: unknown method {doc['method']!r}")
-    time_grid = grid_.TimeGrid(np.asarray(doc["grid"]["cuts"], dtype=float))
-    net = net_.net_from_dict(doc["net"])
+    try:
+        time_grid = grid_.TimeGrid(np.asarray(doc["grid"]["cuts"], dtype=float))
+        net = net_.net_from_dict(doc["net"])
+        std = ds.Standardizer(
+            np.asarray(doc["standardizer"]["means"], dtype=float),
+            np.asarray(doc["standardizer"]["stds"], dtype=float),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SchemaError(f"{path}: malformed model file ({exc!r})") from None
     if net.out_dim != time_grid.m:
         raise SchemaError(
             f"{path}: network outputs {net.out_dim} values, grid has {time_grid.m} intervals"
         )
-    std = ds.Standardizer(
-        np.asarray(doc["standardizer"]["means"], dtype=float),
-        np.asarray(doc["standardizer"]["stds"], dtype=float),
-    )
     return doc["method"], time_grid, net, std
 
 
@@ -217,7 +238,7 @@ def run_simulate(args) -> int:
     result = sim_.generate_dataset(sim_cfg)
     ds.write_csv(result.data, cfg["out"])
     truth_path = cfg["truth"] or f"{cfg['out']}.truth.csv"
-    sim_.write_truth_csv(truth_path, result.times, result.truth)
+    sim_.write_truth_csv(truth_path, result)
     print(
         f"simulated n={result.data.n} (censored fraction "
         f"{result.censored_fraction:.4f}) -> {cfg['out']}, truth -> {truth_path}"
@@ -305,7 +326,10 @@ def run_predict(args) -> int:
     if cfg["times"]:
         times = _parse_times(cfg["times"])
     else:
-        times = np.linspace(0.0, time_grid.t_max, int(cfg["num_times"]))
+        num_times = int(cfg["num_times"])
+        if num_times < 1:
+            raise ValidationError(f"--num-times must be at least 1, got {num_times}")
+        times = np.linspace(0.0, time_grid.t_max, num_times)
     write_curves_csv(cfg["out"], times, curve.evaluate(times))
     print(f"wrote {data.n} curves at {times.size} times -> {cfg['out']}")
     return 0
@@ -409,6 +433,9 @@ def main(argv=None) -> int:
         return 2
     except (ValidationError, SchemaError, SurvnetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"error: cannot read or write a file: {exc}", file=sys.stderr)
         return 1
 
 

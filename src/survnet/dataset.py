@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +42,8 @@ class SurvivalDataset:
             raise ValidationError("a dataset needs at least one record")
         if events.shape != (n,) or covariates.shape[0] != n:
             raise ValidationError("durations, events and covariates disagree on n")
+        if not np.isfinite(durations).all():
+            raise ValidationError("durations contain NaN or Inf")
         if np.any(durations < 0):
             raise ValidationError("durations must be nonnegative")
         if not np.isin(events, (0, 1)).all():
@@ -125,6 +128,10 @@ def load_csv(path, duration_col: str = "duration", event_col: str = "event") -> 
                     f"{path}: row {rownum} has {len(row)} fields, expected {len(header)}"
                 )
             duration = _parse_number(row[d_pos], rownum, duration_col, path)
+            if not math.isfinite(duration):
+                raise ValidationError(
+                    f"{path}: row {rownum}: non-finite duration {row[d_pos]!r}"
+                )
             if duration < 0:
                 raise ValidationError(
                     f"{path}: row {rownum}: negative duration {row[d_pos]!r}"
@@ -168,6 +175,10 @@ class Standardizer:
 
     means: np.ndarray
     stds: np.ndarray
+
+    def __post_init__(self):
+        if np.ndim(self.means) != 1 or np.shape(self.means) != np.shape(self.stds):
+            raise ValidationError("standardizer means and stds must be 1-d of equal length")
 
     def apply(self, data: SurvivalDataset) -> SurvivalDataset:
         if self.means.shape[0] != data.p:

@@ -14,6 +14,7 @@ against the truth.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,9 @@ DEFAULT_SUBSET = 5
 DEFAULT_CENSOR_HAZARD = 0.00016113281249999998
 
 _ROW_CHUNK = 4096
+
+# First header field of the truth files write_truth_csv produces.
+TRUTH_LAYOUT = "survnet-truth-latent"
 
 
 @dataclass(frozen=True)
@@ -144,10 +148,19 @@ def hazard(gammas: GammaSet, t):
 
 
 def true_survival(gammas: GammaSet, times=None) -> np.ndarray:
-    """Exact survival at every fine-grid time: running product of (1 - hazard)."""
-    if times is None:
-        times = fine_times()
-    return np.cumprod(1.0 - hazard(gammas, np.asarray(times, dtype=float)), axis=1)
+    """Exact survival at every fine-grid time: running product of (1 - hazard).
+
+    Rows are computed in blocks of _ROW_CHUNK individuals, the blocks
+    generate_dataset uses, which bounds the temporaries and reproduces its
+    truth bit for bit.
+    """
+    times = fine_times() if times is None else np.asarray(times, dtype=float)
+    gamma = gammas.gamma
+    out = np.empty((gamma.shape[0], times.shape[0]))
+    for lo in range(0, gamma.shape[0], _ROW_CHUNK):
+        h = hazard(GammaSet(gamma[lo : lo + _ROW_CHUNK]), times)
+        out[lo : lo + _ROW_CHUNK] = np.cumprod(1.0 - h, axis=1)
+    return out
 
 
 def design_coefficients(design_seed: int, subset_size: int = DEFAULT_SUBSET) -> np.ndarray:
@@ -222,36 +235,91 @@ def generate_dataset(cfg: SimConfig) -> SimResult:
     return SimResult(data, truth, times, design, gammas)
 
 
-def write_truth_csv(path, times, truth) -> None:
-    """One row of survival values per individual; the header holds the times."""
-    times = np.asarray(times, dtype=float)
-    truth = np.atleast_2d(np.asarray(truth, dtype=float))
-    if truth.shape[1] != times.shape[0]:
-        raise ValidationError("truth must have one column per time")
+def write_truth_csv(path, result: SimResult) -> None:
+    """Store the truth as the fine-grid spec plus nine latent scores per row.
+
+    The header reads ``survnet-truth-latent,n_steps=N,t_max=T``; every row
+    holds one individual's latent scores in shortest round-trip repr, from
+    which load_truth_csv recomputes the exact survival curves bit for bit.
+    """
+    times = np.asarray(result.times, dtype=float)
+    n_steps, t_max = times.shape[0], float(times[-1])
+    if not np.array_equal(times, fine_times(n_steps, t_max)):
+        raise ValidationError("truth times must be the fine grid t_max/n_steps, ..., t_max")
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(repr(float(t)) for t in times) + "\n")
-        for row in truth:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        fh.write(f"{TRUTH_LAYOUT},n_steps={n_steps},t_max={t_max!r}\n")
+        for row in result.design.latent.tolist():
+            fh.write(",".join(map(repr, row)) + "\n")
 
 
 def load_truth_csv(path):
-    """Inverse of write_truth_csv: (times, survival matrix)."""
+    """Read a truth file as (fine-grid times, survival matrix).
+
+    The header names the layout. Files written by write_truth_csv start with
+    ``survnet-truth-latent`` and hold latent scores, from which the curves
+    are recomputed. The older layout, whose header lists the times and whose
+    rows hold the survival values themselves, is still read. Anything else
+    raises SchemaError.
+    """
     with open(path, newline="") as fh:
         header = fh.readline().strip()
         if not header:
             raise SchemaError(f"{path}: empty truth file")
-        times = np.array([float(v) for v in header.split(",")])
-        rows = [
-            [float(v) for v in line.strip().split(",")]
-            for line in fh
-            if line.strip()
-        ]
+        fields = header.split(",")
+        if fields[0] == TRUTH_LAYOUT:
+            times = _latent_layout_times(fields[1:], path)
+            latent = _read_truth_rows(fh, N_LATENT, path)
+            return times, true_survival(gammas_from_latent(latent), times)
+        times = _stored_layout_times(fields, path)
+        return times, _read_truth_rows(fh, times.shape[0], path)
+
+
+def _latent_layout_times(fields, path) -> np.ndarray:
+    spec = dict(field.partition("=")[::2] for field in fields)
+    if len(spec) != len(fields) or set(spec) != {"n_steps", "t_max"}:
+        raise SchemaError(f"{path}: truth header needs exactly n_steps=... and t_max=...")
+    try:
+        n_steps, t_max = int(spec["n_steps"]), float(spec["t_max"])
+    except ValueError:
+        raise SchemaError(
+            f"{path}: truth header needs an integer n_steps and a numeric t_max"
+        ) from None
+    if n_steps < 1:
+        raise SchemaError(f"{path}: n_steps must be at least 1, got {n_steps}")
+    if not (np.isfinite(t_max) and t_max > 0):
+        raise SchemaError(f"{path}: t_max must be positive and finite, got {t_max!r}")
+    return fine_times(n_steps, t_max)
+
+
+def _stored_layout_times(fields, path) -> np.ndarray:
+    try:
+        times = np.array([float(v) for v in fields])
+    except ValueError:
+        raise SchemaError(f"{path}: unrecognised truth file header {fields[0][:40]!r}") from None
+    if not np.isfinite(times).all() or times[0] <= 0 or np.any(np.diff(times) <= 0):
+        raise SchemaError(f"{path}: truth header times must be positive, finite and increasing")
+    return times
+
+
+def _read_truth_rows(fh, width: int, path) -> np.ndarray:
+    """The data rows as an (n, width) array; rows are numbered from 1."""
+    rows = []
+    for rownum, line in enumerate(fh, start=1):
+        fields = line.strip().split(",")
+        if fields == [""]:
+            continue
+        if len(fields) != width:
+            raise SchemaError(f"{path}: row {rownum} has {len(fields)} values, expected {width}")
+        try:
+            values = [float(v) for v in fields]
+        except ValueError as exc:
+            raise SchemaError(f"{path}: row {rownum}: {exc}") from None
+        if not all(map(math.isfinite, values)):
+            raise SchemaError(f"{path}: row {rownum} has a non-finite value")
+        rows.append(values)
     if not rows:
         raise SchemaError(f"{path}: truth file has no data rows")
-    truth = np.asarray(rows, dtype=float)
-    if truth.shape[1] != times.shape[0]:
-        raise SchemaError(f"{path}: truth rows disagree with the header length")
-    return times, truth
+    return np.array(rows)
 
 
 def calibrate_censor_hazard(

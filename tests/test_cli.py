@@ -7,11 +7,16 @@ from survnet import cli
 from survnet.curves import SurvivalCurve
 from survnet.dataset import SurvivalDataset, write_csv
 from survnet.grid import TimeGrid
-from survnet.sim import SimConfig, generate_dataset
+from survnet.sim import SimConfig, generate_dataset, write_truth_csv
 
 
 def run_cli(*argv):
     return cli.main(list(argv))
+
+
+def assert_one_line_error(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def simulate_files(tmp_path, n=300, seed=1, censor="default"):
@@ -66,9 +71,7 @@ def pipeline(tmp_path_factory):
         data_path = root / f"{name}.csv"
         write_csv(result.data, data_path)
         truth_path = root / f"{name}_truth.csv"
-        from survnet.sim import write_truth_csv
-
-        write_truth_csv(truth_path, result.times, result.truth)
+        write_truth_csv(truth_path, result)
         paths[name] = data_path
         paths[f"{name}_truth"] = truth_path
     paths["root"] = root
@@ -134,6 +137,18 @@ class TestFit:
         assert doc["method"] == "pmf"
         assert len(doc["grid"]["cuts"]) == 7  # flag beats config
 
+    @pytest.mark.parametrize("cfg", [
+        {"m": "abc"}, {"m": 2.5}, {"lr": True}, {"train": 3}, [1, 2],
+    ], ids=["str-for-int", "float-for-int", "bool-for-float", "int-for-path", "not-object"])
+    def test_config_value_of_wrong_type_rejected(self, pipeline, tmp_path, capsys, cfg):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert run_cli(
+            "fit", "--config", str(cfg_path), "--train", str(pipeline["train"]),
+            "--val", str(pipeline["val"]), "--out", str(tmp_path / "model.json"),
+        ) == 1
+        assert_one_line_error(capsys)
+
     def test_unknown_config_key_rejected(self, pipeline, tmp_path):
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps({"no_such_key": 1}))
@@ -162,6 +177,19 @@ class TestPredictAndEvaluate:
         assert set(by_name) == {"td_concordance", "integrated_brier_score", "mse_vs_truth"}
         assert all(np.isfinite(r["value"]) for r in reports)
         assert by_name["td_concordance"]["n"] == 400
+
+    @pytest.mark.parametrize("num_times", ["0", "-3"])
+    def test_num_times_below_one_exits_one(self, pipeline, tmp_path, capsys, num_times):
+        model = tmp_path / "model.json"
+        assert run_cli(*fit_args(pipeline, model)) == 0
+        curves_csv = tmp_path / "curves.csv"
+        capsys.readouterr()
+        assert run_cli(
+            "predict", "--model", str(model), "--data", str(pipeline["test"]),
+            "--num-times", num_times, "--out", str(curves_csv),
+        ) == 1
+        assert_one_line_error(capsys)
+        assert not curves_csv.exists()
 
     def test_interpolation_flags_change_evaluation_only(self, pipeline, tmp_path):
         model = tmp_path / "interp.json"
@@ -200,6 +228,44 @@ class TestPredictAndEvaluate:
             "--truth", str(pipeline["train_truth"]),
         ) == 1
 
+    def test_old_truth_layout_gives_identical_report(self, pipeline, tmp_path):
+        result = generate_dataset(SimConfig(n=400, seed=13))
+        old_truth = tmp_path / "old_truth.csv"
+        with open(old_truth, "w") as fh:
+            for row in (result.times, *result.truth):
+                fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        model = tmp_path / "model.json"
+        assert run_cli(*fit_args(pipeline, model)) == 0
+        reports = []
+        for truth in (pipeline["test_truth"], old_truth):
+            report_path = tmp_path / "report.json"
+            assert run_cli(
+                "evaluate", "--model", str(model), "--data", str(pipeline["test"]),
+                "--truth", str(truth), "--out", str(report_path),
+            ) == 0
+            reports.append(report_path.read_bytes())
+        assert b"mse_vs_truth" in reports[0]
+        assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("content", [
+        b"a,b,c\n1,2,3\n",
+        b"survnet-truth-latent,n_steps=1000,t_max=100.0\n0.5,nan,0,0,0,0,0,0,0\n",
+        b"\xff\xfe\x00binary",
+        None,
+    ], ids=["garbled", "non-finite-latent", "not-utf8", "missing"])
+    def test_bad_truth_file_exits_one(self, pipeline, tmp_path, capsys, content):
+        model = tmp_path / "model.json"
+        assert run_cli(*fit_args(pipeline, model)) == 0
+        truth = tmp_path / "truth.csv"
+        if content is not None:
+            truth.write_bytes(content)
+        capsys.readouterr()
+        assert run_cli(
+            "evaluate", "--model", str(model), "--data", str(pipeline["test"]),
+            "--truth", str(truth),
+        ) == 1
+        assert_one_line_error(capsys)
+
 
 class TestEvaluateOracleInjection:
     def test_perfect_curves_score_perfectly(self):
@@ -231,6 +297,24 @@ class TestModelFile:
         broken2.write_text(json.dumps(doc2))
         assert run_cli("evaluate", "--model", str(broken2),
                        "--data", str(pipeline["test"])) == 1
+
+    @pytest.mark.parametrize("path", [("grid", "cuts"), ("net", "widths"),
+                                      ("standardizer", "stds")])
+    @pytest.mark.parametrize("damage", ["delete", "shorten"])
+    def test_damaged_nested_value_exits_one(self, pipeline, tmp_path, capsys, path, damage):
+        model = tmp_path / "model.json"
+        assert run_cli(*fit_args(pipeline, model)) == 0
+        doc = json.loads(model.read_text())
+        if damage == "delete":
+            del doc[path[0]][path[1]]
+        else:
+            doc[path[0]][path[1]] = doc[path[0]][path[1]][:-1]
+        broken = tmp_path / "broken.json"
+        broken.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run_cli("evaluate", "--model", str(broken),
+                       "--data", str(pipeline["test"])) == 1
+        assert_one_line_error(capsys)
 
     def test_unknown_flag_exits_one(self):
         assert run_cli("fit", "--frobnicate") == 1

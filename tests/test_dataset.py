@@ -57,6 +57,13 @@ class TestLoadCsv:
         with pytest.raises(ValidationError, match="row 1"):
             load_csv(path)
 
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+    def test_non_finite_duration_cites_row(self, tmp_path, raw):
+        path = tmp_path / "nonfinite.csv"
+        path.write_text(f"duration,event,x0\n1.0,1,0.5\n{raw},0,0.1\n")
+        with pytest.raises(ValidationError, match="row 2: non-finite duration"):
+            load_csv(path)
+
     def test_simulated_roundtrip_bit_identical(self, tmp_path):
         result = sim.generate_dataset(sim.SimConfig(n=40, seed=3))
         path = tmp_path / "sim.csv"
@@ -150,6 +157,11 @@ class TestValidation:
     def test_nan_covariate(self):
         with pytest.raises(ValidationError):
             SurvivalDataset([1.0], [1], [[np.nan]])
+
+    @pytest.mark.parametrize("duration", [np.nan, np.inf, -np.inf])
+    def test_non_finite_duration(self, duration):
+        with pytest.raises(ValidationError, match="durations contain NaN or Inf"):
+            SurvivalDataset([1.0, duration], [1, 0], [[0.0], [1.0]])
 
     def test_arrays_read_only(self):
         data = make_dataset()

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from survnet.errors import ValidationError
+from survnet.errors import SchemaError, ValidationError
 from survnet.sim import (
+    TRUTH_LAYOUT,
     GammaSet,
     SimConfig,
+    SimResult,
     fine_times,
     gammas_from_latent,
     generate_dataset,
@@ -145,7 +147,80 @@ class TestTruthFile:
     def test_roundtrip(self, tmp_path):
         result = generate_dataset(SimConfig(n=7, seed=10))
         path = tmp_path / "truth.csv"
-        write_truth_csv(path, result.times, result.truth)
+        write_truth_csv(path, result)
         times, truth = load_truth_csv(path)
         np.testing.assert_array_equal(times, result.times)
         np.testing.assert_array_equal(truth, result.truth)
+        lines = path.read_text().splitlines()
+        assert lines[0] == f"{TRUTH_LAYOUT},n_steps=1000,t_max=100.0"
+        assert len(lines) == 8 and all(len(line.split(",")) == 9 for line in lines[1:])
+
+    def test_recomputed_truth_bit_identical_across_row_chunks(self, tmp_path):
+        # 4,100 rows cross the simulator's 4,096-row block boundary
+        result = generate_dataset(SimConfig(n=4100, seed=11))
+        path = tmp_path / "truth.csv"
+        write_truth_csv(path, result)
+        times, truth = load_truth_csv(path)
+        np.testing.assert_array_equal(times, result.times)
+        np.testing.assert_array_equal(truth, result.truth)
+
+    def test_old_layout_still_loads(self, tmp_path):
+        path = tmp_path / "old.csv"
+        path.write_text("0.5,1.0,1.5\n0.9,0.8,0.25\n\n1.0,0.5,0.125\n")
+        times, truth = load_truth_csv(path)
+        np.testing.assert_array_equal(times, [0.5, 1.0, 1.5])
+        np.testing.assert_array_equal(truth, [[0.9, 0.8, 0.25], [1.0, 0.5, 0.125]])
+
+    def test_grid_must_be_the_fine_grid(self, tmp_path):
+        result = generate_dataset(SimConfig(n=3, seed=12))
+        shifted = SimResult(result.data, result.truth, result.times + 1.0,
+                            result.design, result.gammas)
+        with pytest.raises(ValidationError):
+            write_truth_csv(tmp_path / "truth.csv", shifted)
+
+
+LATENT_ROW = ",".join(["0.5"] * 9)
+LATENT_HEADER = f"{TRUTH_LAYOUT},n_steps=10,t_max=1.0"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "empty truth file"),
+        ("a,b,c\n1,2,3\n", "unrecognised truth file header"),
+        (f"{TRUTH_LAYOUT}-v9,n_steps=10,t_max=1.0\n{LATENT_ROW}\n", "unrecognised"),
+        (f"{LATENT_HEADER}\n", "no data rows"),
+        (f"{LATENT_HEADER}\n{LATENT_ROW}\n0.5,x,0,0,0,0,0,0,0\n", "row 2: could not convert"),
+        (f"{LATENT_HEADER}\n{LATENT_ROW},0.5\n", "row 1 has 10 values, expected 9"),
+        (f"{LATENT_HEADER}\n0.5,0.5\n", "row 1 has 2 values, expected 9"),
+        (f"{LATENT_HEADER}\n{LATENT_ROW}\nnan,0,0,0,0,0,0,0,0\n", "row 2 has a non-finite"),
+        (f"{LATENT_HEADER}\n{LATENT_ROW}\n0,0,0,0,inf,0,0,0,0\n", "row 2 has a non-finite"),
+        (f"{TRUTH_LAYOUT},t_max=1.0\n{LATENT_ROW}\n", "needs exactly n_steps"),
+        (f"{TRUTH_LAYOUT},n_steps=10,t_max=1.0,extra=1\n{LATENT_ROW}\n", "needs exactly"),
+        (f"{TRUTH_LAYOUT},n_steps=10.5,t_max=1.0\n{LATENT_ROW}\n", "integer n_steps"),
+        (f"{TRUTH_LAYOUT},n_steps=0,t_max=1.0\n{LATENT_ROW}\n", "n_steps must be at least 1"),
+        (f"{TRUTH_LAYOUT},n_steps=10,t_max=0.0\n{LATENT_ROW}\n", "t_max must be positive"),
+        (f"{TRUTH_LAYOUT},n_steps=10,t_max=-2\n{LATENT_ROW}\n", "t_max must be positive"),
+        (f"{TRUTH_LAYOUT},n_steps=10,t_max=inf\n{LATENT_ROW}\n", "t_max must be positive"),
+        (f"{TRUTH_LAYOUT},n_steps=10,t_max=ten\n{LATENT_ROW}\n", "integer n_steps"),
+        ("0.5,1.0\n0.9,x\n", "row 1: could not convert"),
+        ("0.5,1.0\n0.9,0.8\n0.9\n", "row 2 has 1 values, expected 2"),
+        ("0.5,1.0\n0.9,nan\n", "row 1 has a non-finite"),
+        ("-1.0,-0.5\n0.9,0.8\n", "times must be positive"),
+        ("0.0\n0.9\n", "times must be positive"),
+        ("1.0,0.5\n0.9,0.8\n", "times must be positive, finite and increasing"),
+    ],
+    ids=[
+        "empty", "unrecognised-header", "unknown-layout", "latent-no-rows",
+        "latent-non-numeric", "latent-too-wide", "latent-too-narrow",
+        "latent-nan", "latent-inf", "missing-n_steps", "unknown-key",
+        "non-integer-n_steps", "n_steps-below-one", "zero-t_max", "negative-t_max",
+        "infinite-t_max", "non-numeric-t_max", "old-non-numeric", "old-ragged",
+        "old-nan", "old-negative-t_max", "old-zero-t_max", "old-decreasing-times",
+    ],
+)
+def test_malformed_truth_file_is_schema_error(tmp_path, text, message):
+    path = tmp_path / "truth.csv"
+    path.write_text(text)
+    with pytest.raises(SchemaError, match=message):
+        load_truth_csv(path)
