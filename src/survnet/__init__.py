@@ -11,7 +11,6 @@ with known truth, and a command-line pipeline.
 from .dataset import (
     Standardizer,
     SurvivalDataset,
-    SurvivalRecord,
     fit_standardizer,
     load_csv,
     split,
@@ -51,7 +50,6 @@ from .curves import (
     pmf_probs,
     surv_from_hazard,
     surv_from_pmf,
-    surv_pc_hazard,
 )
 from .net import Mlp, TrainConfig, forward, gradient_check, init_mlp
 from .net import fit as fit_net
@@ -75,7 +73,6 @@ __all__ = [
     "Standardizer",
     "SurvivalCurve",
     "SurvivalDataset",
-    "SurvivalRecord",
     "SurvnetError",
     "TimeGrid",
     "TrainConfig",
@@ -107,7 +104,6 @@ __all__ = [
     "split",
     "surv_from_hazard",
     "surv_from_pmf",
-    "surv_pc_hazard",
     "td_concordance",
     "true_survival",
     "write_csv",

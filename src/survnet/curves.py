@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import ValidationError
 from .grid import TimeGrid, locate_times
-from .losses import sigmoid
 
 KINDS = ("step", "cdi", "chi", "pc-hazard")
 
@@ -67,6 +66,11 @@ class SurvivalCurve:
     @property
     def n(self) -> int:
         return self.values.shape[0]
+
+    def rows(self, start: int, stop: int) -> "SurvivalCurve":
+        """The curves of individuals start to stop - 1, read the same way."""
+        eta = None if self.eta is None else self.eta[start:stop]
+        return SurvivalCurve(self.grid, self.values[start:stop], self.kind, eta)
 
     def with_kind(self, kind: str) -> "SurvivalCurve":
         """Same discrete values, read with a different scheme between cuts."""
@@ -148,25 +152,11 @@ def pc_hazard_curve(eta, grid: TimeGrid) -> SurvivalCurve:
     return SurvivalCurve(grid, values, "pc-hazard", eta=eta)
 
 
-def surv_pc_hazard(eta, grid: TimeGrid, t):
-    """Piecewise-exponential survival at time t; a float for a single row."""
-    eta_arr = np.asarray(eta, dtype=float)
-    out = pc_hazard_curve(eta_arr, grid).evaluate(t)
-    if eta_arr.ndim == 1 and np.ndim(t) == 0:
-        return float(out[0])
-    return out
-
-
 def interpolate(curve: SurvivalCurve, scheme: str, times):
     """Evaluate a discrete curve between its cuts with the given scheme."""
     if scheme not in ("cdi", "chi"):
         raise ValidationError(f"interpolation scheme must be 'cdi' or 'chi', got {scheme!r}")
     return curve.with_kind(scheme).evaluate(times)
-
-
-def hazard_from_logits(logits):
-    """Discrete hazards from logits, the inverse link of the hazard method."""
-    return sigmoid(logits)
 
 
 def cdi_hazard(curve: SurvivalCurve, times):

@@ -11,15 +11,6 @@ import numpy as np
 from .errors import SchemaError, ValidationError
 
 
-@dataclass(frozen=True)
-class SurvivalRecord:
-    """One observation: a duration, an event indicator and a covariate vector."""
-
-    duration: float
-    event: int
-    covariates: np.ndarray
-
-
 class SurvivalDataset:
     """Immutable container for right-censored survival data.
 
@@ -72,11 +63,6 @@ class SurvivalDataset:
 
     def __len__(self) -> int:
         return self.n
-
-    def record(self, i: int) -> SurvivalRecord:
-        return SurvivalRecord(
-            float(self.durations[i]), int(self.events[i]), self.covariates[i]
-        )
 
     def subset(self, indices) -> "SurvivalDataset":
         indices = np.asarray(indices, dtype=int)

@@ -91,8 +91,19 @@ class DiscreteLabels:
         return self.idx.shape[0]
 
     def take(self, indices) -> "DiscreteLabels":
+        """Read-only labels of the selected records; an index out of range raises.
+
+        A selection of valid labels is valid, so the checks are not repeated.
+        """
         indices = np.asarray(indices, dtype=int)
-        return DiscreteLabels(self.idx[indices], self.event[indices], self.frac[indices])
+        if indices.ndim != 1:
+            raise ValidationError("take needs a 1-d array of record indices")
+        sub = object.__new__(DiscreteLabels)
+        for name in ("idx", "event", "frac"):
+            arr = getattr(self, name)[indices]
+            arr.setflags(write=False)
+            object.__setattr__(sub, name, arr)
+        return sub
 
 
 def equidistant_grid(t_max: float, m: int) -> TimeGrid:

@@ -25,10 +25,10 @@ LOG_SOFTPLUS_CUTOFF = -15.0
 MIN_EVENT_FRAC = 1e-7
 
 
-def sigmoid(x):
-    """Logistic function, safe for arbitrarily large |x|."""
+def sigmoid(x, z=None):
+    """Logistic function, safe for arbitrarily large |x|; z is exp(-|x|) if given."""
     x = np.asarray(x, dtype=float)
-    z = np.exp(-np.abs(x))
+    z = np.exp(-np.abs(x)) if z is None else z
     return np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
 
 
@@ -79,9 +79,10 @@ def nll_logistic_hazard(logits, labels: DiscreteLabels) -> LossOutput:
     ev = np.nonzero(labels.event == 1)[0]
     target[ev, idx[ev] - 1] = 1.0
     active = np.arange(m)[None, :] < idx[:, None]
-    terms = np.maximum(logits, 0.0) - logits * target + np.log1p(np.exp(-np.abs(logits)))
+    z = np.exp(-np.abs(logits))
+    terms = np.maximum(logits, 0.0) - logits * target + np.log1p(z)
     value = float((terms * active).sum() / n)
-    grad = (sigmoid(logits) - target) * active / n
+    grad = (sigmoid(logits, z) - target) * active / n
     return LossOutput(value, grad)
 
 
@@ -149,22 +150,22 @@ def nll_pc_hazard(logits, labels: DiscreteLabels) -> LossOutput:
     frac = np.where((event == 1) & (frac <= 0.0), MIN_EVENT_FRAC, frac)
 
     eta = softplus(logits)
+    sig = sigmoid(logits)
     before = np.arange(m)[None, :] < (idx - 1)[:, None]
     rows = np.arange(n)
     own_col = np.maximum(idx, 1) - 1
     at = idx >= 1
+    z_own = logits[rows, own_col]
     eta_own = np.where(at, eta[rows, own_col], 0.0)
-    log_eta_own = log_softplus(logits)[rows, own_col]
+    log_eta_own = log_softplus(z_own)
     value_i = -event * np.where(at, log_eta_own, 0.0) + eta_own * np.where(at, frac, 0.0)
     value_i = value_i + (eta * before).sum(axis=1)
     value = float(value_i.mean())
 
-    grad = sigmoid(logits) * before
-    s_own = sigmoid(logits[rows, own_col])
+    grad = sig * before
+    s_own = sig[rows, own_col]
     # d log(softplus(z)) / dz = sigmoid(z) / softplus(z) -> 1 as z -> -inf
-    dlog = np.where(
-        logits[rows, own_col] < -30.0, 1.0, s_own / np.maximum(eta_own, 1e-300)
-    )
+    dlog = np.where(z_own < -30.0, 1.0, s_own / np.maximum(eta_own, 1e-300))
     own_grad = np.where(at, -event * dlog + frac * s_own, 0.0)
     grad[rows, own_col] += own_grad
     return LossOutput(value, grad / n)

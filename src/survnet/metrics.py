@@ -17,6 +17,9 @@ from .errors import MetricUndefinedError, ValidationError
 
 _CHUNK = 256
 
+# Individuals per block in mse_vs_truth, the simulator's truth block size.
+_ROW_BLOCK = 4096
+
 
 @dataclass(frozen=True)
 class EvalGrid:
@@ -124,14 +127,30 @@ def integrated_brier_score(
 
 
 def mse_vs_truth(curves, truth, eval_grid: EvalGrid) -> float:
-    """Mean over individuals and times of the squared estimation error."""
+    """Mean over individuals and times of the squared estimation error.
+
+    Curves are evaluated in blocks of rows; only the truth and the squared
+    errors are held in full, and one mean sums them as an unblocked one would.
+    """
     truth = np.asarray(truth, dtype=float)
-    surv = curves.evaluate(eval_grid.times)
-    if truth.shape != surv.shape:
+    times = eval_grid.times
+    shape = (curves.n, times.size)
+    if truth.shape != shape:
         raise ValidationError(
-            f"truth has shape {truth.shape}, expected {surv.shape} (individuals x times)"
+            f"truth has shape {truth.shape}, expected {shape} (individuals x times)"
         )
-    return float(np.mean((surv - truth) ** 2))
+    squared = None
+    for lo in range(0, max(curves.n, 1), _ROW_BLOCK):  # one pass even for no rows
+        surv = curves.rows(lo, lo + _ROW_BLOCK).evaluate(times)
+        if squared is None:
+            # Allocated once the evaluation's temporaries are freed, so the
+            # two do not add up in the peak memory.
+            squared = np.empty(shape)
+        block = squared[lo : lo + _ROW_BLOCK]
+        np.subtract(surv, truth[lo : lo + _ROW_BLOCK], out=block)
+        del surv
+        np.square(block, out=block)
+    return float(np.mean(squared))
 
 
 def report(metric: str, value: float, n: int, dropped_terms: int = 0) -> dict:

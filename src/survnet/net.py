@@ -5,6 +5,11 @@ the output layer is linear, one unit per time interval. Training uses
 minibatch Adam with decoupled weight decay under a warm-restart schedule:
 the learning rate is cosine-annealed within each cycle, cycles grow
 geometrically and the peak rate decays at every restart.
+
+During training all weights, then all biases, live in one flat float64
+buffer; the network is built once over row-major views of it and the Adam
+moments are flat arrays of the same length, so one step is a few vectorized
+lines doing per element what a per-array update would.
 """
 
 from __future__ import annotations
@@ -117,22 +122,6 @@ def backward(net: Mlp, cache, grad_out):
     return grads_w, grads_b
 
 
-@dataclass
-class OptimizerState:
-    """Adaptive-moment accumulators, one pair per parameter array."""
-
-    moment1: list
-    moment2: list
-    step: int = 0
-
-    @classmethod
-    def for_params(cls, params) -> "OptimizerState":
-        return cls(
-            [np.zeros_like(p) for p in params],
-            [np.zeros_like(p) for p in params],
-        )
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     batch_size: int = 256
@@ -180,51 +169,58 @@ def fit(net: Mlp, loss_fn, train_x, train_labels, val_x, val_labels, cfg: TrainC
     The parameters with the lowest validation loss seen are returned. Training
     stops early once the validation loss has not improved for more than
     ``patience`` epochs. Shuffling and dropout draw from one generator seeded
-    by the config, so a config fully determines the result.
+    by the config, so a config fully determines the result. The input network
+    is left untouched and the returned one owns its own buffer.
     """
     train_x = np.atleast_2d(np.asarray(train_x, dtype=float))
     val_x = np.atleast_2d(np.asarray(val_x, dtype=float))
     if len(train_labels) != train_x.shape[0] or len(val_labels) != val_x.shape[0]:
         raise ValidationError("label counts must match the covariate rows")
     rng = np.random.default_rng(cfg.seed)
-    params = [w.copy() for w in net.weights] + [b.copy() for b in net.biases]
     n_w = len(net.weights)
-    state = OptimizerState.for_params(params)
+    params = (*net.weights, *net.biases)
+    theta = np.concatenate(params, axis=None, dtype=float)
+    splits = np.cumsum([p.size for p in params])[:-1]
+
+    def over(buffer) -> Mlp:
+        views = [v.reshape(p.shape) for v, p in zip(np.split(buffer, splits), params)]
+        return Mlp(tuple(views[:n_w]), tuple(views[n_w:]), net.dropout)
+
+    model = over(theta)
+    moment1 = np.zeros_like(theta)
+    moment2 = np.zeros_like(theta)
+    step = 0
     best_val = np.inf
-    best_params = [p.copy() for p in params]
+    best_theta = theta.copy()
     bad_epochs = 0
     log = []
     n = train_x.shape[0]
     n_batches = max(1, int(np.ceil(n / cfg.batch_size)))
-
-    def as_net():
-        return Mlp(tuple(params[:n_w]), tuple(params[n_w:]), net.dropout)
 
     for epoch in range(cfg.max_epochs):
         perm = rng.permutation(n)
         batch_losses = []
         for b in range(n_batches):
             sel = perm[b * cfg.batch_size : (b + 1) * cfg.batch_size]
-            out, cache = _forward_cached(as_net(), train_x[sel], training=True, rng=rng)
+            out, cache = _forward_cached(model, train_x[sel], training=True, rng=rng)
             result = loss_fn(out, train_labels.take(sel))
             if not np.isfinite(result.value):
                 raise NumericalError(
                     f"non-finite training loss in epoch {epoch}, batch {b}"
                 )
-            grads_w, grads_b = backward(as_net(), cache, result.grad)
-            grads = grads_w + grads_b
+            grads_w, grads_b = backward(model, cache, result.grad)
+            grad = np.concatenate([*grads_w, *grads_b], axis=None)
             lr = learning_rate_at(cfg, epoch + b / n_batches)
-            state.step += 1
-            c1 = 1.0 - ADAM_BETA1**state.step
-            c2 = 1.0 - ADAM_BETA2**state.step
-            for p, g, m1, m2 in zip(params, grads, state.moment1, state.moment2):
-                m1 += (1.0 - ADAM_BETA1) * (g - m1)
-                m2 += (1.0 - ADAM_BETA2) * (g * g - m2)
-                p -= lr * (m1 / c1) / (np.sqrt(m2 / c2) + ADAM_EPS)
-                if cfg.weight_decay > 0:
-                    p -= lr * cfg.weight_decay * p
+            step += 1
+            c1 = 1.0 - ADAM_BETA1**step
+            c2 = 1.0 - ADAM_BETA2**step
+            moment1 += (1.0 - ADAM_BETA1) * (grad - moment1)
+            moment2 += (1.0 - ADAM_BETA2) * (grad * grad - moment2)
+            theta -= lr * (moment1 / c1) / (np.sqrt(moment2 / c2) + ADAM_EPS)
+            if cfg.weight_decay > 0:
+                theta -= lr * cfg.weight_decay * theta
             batch_losses.append(result.value)
-        val_out = forward(as_net(), val_x, training=False)
+        val_out = forward(model, val_x, training=False)
         val_loss = loss_fn(val_out, val_labels).value
         if not np.isfinite(val_loss):
             raise NumericalError(f"non-finite validation loss in epoch {epoch}")
@@ -238,14 +234,13 @@ def fit(net: Mlp, loss_fn, train_x, train_labels, val_x, val_labels, cfg: TrainC
         )
         if val_loss < best_val:
             best_val = val_loss
-            best_params = [p.copy() for p in params]
+            best_theta = theta.copy()
             bad_epochs = 0
         else:
             bad_epochs += 1
             if bad_epochs > cfg.patience:
                 break
-    trained = Mlp(tuple(best_params[:n_w]), tuple(best_params[n_w:]), net.dropout)
-    return trained, log
+    return over(best_theta), log
 
 
 def gradient_check(net: Mlp, loss_fn, x, labels, eps: float = 1e-5) -> float:

@@ -2,6 +2,8 @@
 
 Everything here is deliberately slow and direct: plain loops, exact rational
 arithmetic where it matters, and no code shared with the library under test.
+The one exception is ``reference_fit``, which restates only the training loop
+and runs the library's own forward and backward passes inside it.
 """
 
 from fractions import Fraction
@@ -202,3 +204,77 @@ def pc_hazard_nll_naive(logits, idx, event, frac):
         term = event[i] * np.log(eta[k - 1]) - eta[k - 1] * frac[i] - eta[: k - 1].sum()
         total -= term
     return total / n
+
+
+def reference_fit(net, loss_fn, train_x, train_labels, val_x, val_labels, cfg):
+    """Minibatch Adam with one update per parameter array, as ``net.fit`` was.
+
+    Every weight and bias is its own array with its own pair of moments, the
+    network is rebuilt from the arrays for each pass, and batch labels go
+    through the validating constructor. Returns (best network, per-epoch log)
+    exactly like ``net.fit``.
+    """
+    from survnet import net as net_mod
+    from survnet.grid import DiscreteLabels
+
+    beta1, beta2, eps = net_mod.ADAM_BETA1, net_mod.ADAM_BETA2, net_mod.ADAM_EPS
+    train_x = np.atleast_2d(np.asarray(train_x, dtype=float))
+    val_x = np.atleast_2d(np.asarray(val_x, dtype=float))
+    rng = np.random.default_rng(cfg.seed)
+    params = [w.copy() for w in net.weights] + [b.copy() for b in net.biases]
+    n_w = len(net.weights)
+    moment1 = [np.zeros_like(p) for p in params]
+    moment2 = [np.zeros_like(p) for p in params]
+    step = 0
+    best_val = np.inf
+    best_params = [p.copy() for p in params]
+    bad_epochs = 0
+    log = []
+    n = train_x.shape[0]
+    n_batches = max(1, int(np.ceil(n / cfg.batch_size)))
+
+    def as_net():
+        return net_mod.Mlp(tuple(params[:n_w]), tuple(params[n_w:]), net.dropout)
+
+    for epoch in range(cfg.max_epochs):
+        perm = rng.permutation(n)
+        batch_losses = []
+        for b in range(n_batches):
+            sel = perm[b * cfg.batch_size : (b + 1) * cfg.batch_size]
+            out, cache = net_mod._forward_cached(as_net(), train_x[sel], training=True, rng=rng)
+            batch_labels = DiscreteLabels(
+                train_labels.idx[sel], train_labels.event[sel], train_labels.frac[sel]
+            )
+            result = loss_fn(out, batch_labels)
+            grads_w, grads_b = net_mod.backward(as_net(), cache, result.grad)
+            grads = grads_w + grads_b
+            lr = net_mod.learning_rate_at(cfg, epoch + b / n_batches)
+            step += 1
+            c1 = 1.0 - beta1**step
+            c2 = 1.0 - beta2**step
+            for p, g, m1, m2 in zip(params, grads, moment1, moment2):
+                m1 += (1.0 - beta1) * (g - m1)
+                m2 += (1.0 - beta2) * (g * g - m2)
+                p -= lr * (m1 / c1) / (np.sqrt(m2 / c2) + eps)
+                if cfg.weight_decay > 0:
+                    p -= lr * cfg.weight_decay * p
+            batch_losses.append(result.value)
+        val_loss = loss_fn(net_mod.forward(as_net(), val_x), val_labels).value
+        log.append(
+            {
+                "epoch": epoch,
+                "train_loss": float(np.mean(batch_losses)),
+                "val_loss": float(val_loss),
+                "lr": net_mod.learning_rate_at(cfg, float(epoch)),
+            }
+        )
+        if val_loss < best_val:
+            best_val = val_loss
+            best_params = [p.copy() for p in params]
+            bad_epochs = 0
+        else:
+            bad_epochs += 1
+            if bad_epochs > cfg.patience:
+                break
+    trained = net_mod.Mlp(tuple(best_params[:n_w]), tuple(best_params[n_w:]), net.dropout)
+    return trained, log

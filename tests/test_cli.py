@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import survnet
 from survnet import cli
 from survnet.curves import SurvivalCurve
 from survnet.dataset import SurvivalDataset, write_csv
@@ -318,3 +323,79 @@ class TestModelFile:
 
     def test_unknown_flag_exits_one(self):
         assert run_cli("fit", "--frobnicate") == 1
+
+
+# The directory holding the imported survnet package, for child processes.
+PACKAGE_ROOT = str(Path(survnet.__file__).resolve().parent.parent)
+
+# Largest weight difference accepted between fits at one and at two BLAS
+# threads. OpenBLAS splits a threaded product into output blocks, each summed
+# in the single-threaded order, so the difference measured on a 2-CPU host
+# with OpenBLAS 0.3.31 is 0, at this test's sizes and at n = 20,000 with the
+# CLI defaults; another build measured about 6e-17. The bound leaves room for
+# that rounding, and a real fault moves weights by far more.
+CROSS_THREAD_ATOL = 1e-12
+
+
+def run_cli_process(threads, *argv):
+    """Run ``python -m survnet.cli`` in a child pinned to a BLAS thread count."""
+    path = [PACKAGE_ROOT, *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.run([sys.executable, "-m", "survnet.cli", *argv], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def subprocess_pipeline(workdir, threads, data_from=None):
+    """simulate -> fit -> predict -> evaluate as child processes.
+
+    The fit uses the default network shape, so its products are large enough
+    for OpenBLAS to use several threads. With ``data_from`` the simulated
+    files of an earlier run are reused. Returns {file name: bytes}.
+    """
+    workdir.mkdir()
+    data = data_from or workdir
+    if data_from is None:
+        for name, n, seed in (("train", 600, 41), ("val", 200, 42), ("test", 300, 43)):
+            run_cli_process(threads, "simulate", "--n", str(n), "--seed", str(seed),
+                            "--out", str(data / f"{name}.csv"),
+                            "--truth", str(data / f"{name}_truth.csv"))
+    for method in cli.METHODS:
+        model = workdir / f"model_{method}.json"
+        run_cli_process(threads, "fit", "--method", method,
+                        "--train", str(data / "train.csv"), "--val", str(data / "val.csv"),
+                        "--m", "10", "--max-epochs", "4", "--seed", "7", "--out", str(model))
+        run_cli_process(threads, "predict", "--model", str(model),
+                        "--data", str(data / "test.csv"),
+                        "--out", str(workdir / f"curves_{method}.csv"))
+        run_cli_process(threads, "evaluate", "--model", str(model),
+                        "--data", str(data / "test.csv"),
+                        "--truth", str(data / "test_truth.csv"),
+                        "--out", str(workdir / f"report_{method}.json"))
+    return {p.name: p.read_bytes() for p in sorted(workdir.iterdir())}
+
+
+@pytest.fixture(scope="module")
+def pinned_run(tmp_path_factory):
+    root = tmp_path_factory.mktemp("determinism")
+    return root / "first", subprocess_pipeline(root / "first", threads=1)
+
+
+class TestSubprocessDeterminism:
+    def test_same_bytes_at_one_blas_thread(self, pinned_run, tmp_path):
+        _, first = pinned_run
+        second = subprocess_pipeline(tmp_path / "second", threads=1)
+        assert len(first) == 3 * 2 + 3 * 3
+        assert first.keys() == second.keys()
+        for name in first:
+            assert first[name] == second[name], name
+
+    def test_weights_close_across_thread_counts(self, pinned_run, tmp_path):
+        first_dir, first = pinned_run
+        second = subprocess_pipeline(tmp_path / "two", threads=2, data_from=first_dir)
+        for method in cli.METHODS:
+            one = json.loads(first[f"model_{method}.json"])["net"]
+            two = json.loads(second[f"model_{method}.json"])["net"]
+            assert one["widths"] == two["widths"]
+            for a, b in zip(one["weights"] + one["biases"], two["weights"] + two["biases"]):
+                np.testing.assert_allclose(a, b, rtol=0, atol=CROSS_THREAD_ATOL)

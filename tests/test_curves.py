@@ -11,7 +11,6 @@ from survnet.curves import (
     pmf_probs,
     surv_from_hazard,
     surv_from_pmf,
-    surv_pc_hazard,
     write_curves_csv,
 )
 
@@ -62,20 +61,20 @@ class TestSurvFromPmf:
 
 class TestPcHazardCurve:
     def test_closed_form_midpoint(self):
-        assert surv_pc_hazard(np.array([0.5, 1.0]), GRID2, 15) == pytest.approx(
+        assert pc_hazard_curve([0.5, 1.0], GRID2).evaluate(15)[0] == pytest.approx(
             np.exp(-1.0), abs=1e-15
         )
 
     def test_at_zero(self):
-        assert surv_pc_hazard(np.array([0.5, 1.0]), GRID2, 0.0) == 1.0
+        assert pc_hazard_curve([0.5, 1.0], GRID2).evaluate(0.0)[0] == 1.0
 
     def test_full_grid(self):
-        assert surv_pc_hazard(np.array([0.5, 1.0]), GRID2, 20.0) == pytest.approx(
+        assert pc_hazard_curve([0.5, 1.0], GRID2).evaluate(20.0)[0] == pytest.approx(
             np.exp(-1.5), abs=1e-15
         )
 
     def test_beyond_grid_clamps(self):
-        assert surv_pc_hazard(np.array([0.5, 1.0]), GRID2, 35.0) == pytest.approx(
+        assert pc_hazard_curve([0.5, 1.0], GRID2).evaluate(35.0)[0] == pytest.approx(
             np.exp(-1.5), abs=1e-15
         )
 

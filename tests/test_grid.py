@@ -200,6 +200,29 @@ class TestDiscreteLabels:
         assert sub.idx.tolist() == [3, 1]
         assert sub.frac.tolist() == [0.25, 0.5]
 
+    def test_take_equals_validated_construction(self):
+        rng = np.random.default_rng(6)
+        idx = rng.integers(0, 9, 50)
+        labels = DiscreteLabels(idx, rng.integers(0, 2, 50) * (idx >= 1), rng.uniform(0, 1, 50))
+        sel = rng.permutation(50)[:17]
+        sub = labels.take(sel)
+        built = DiscreteLabels(labels.idx[sel], labels.event[sel], labels.frac[sel])
+        for name in ("idx", "event", "frac"):
+            got, want = getattr(sub, name), getattr(built, name)
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+            assert not got.flags.writeable
+            with pytest.raises(ValueError):
+                got[0] = 0
+        assert len(labels.take([])) == 0
+
+    def test_take_out_of_range_raises(self):
+        labels = DiscreteLabels([1, 2, 3], [1, 0, 1], [0.5, 1.0, 0.25])
+        with pytest.raises(IndexError):
+            labels.take([0, 3])
+        with pytest.raises(ValidationError):
+            labels.take(1)
+
 
 class TestTimeGrid:
     def test_must_start_at_zero(self):

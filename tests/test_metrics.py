@@ -4,7 +4,7 @@ import pytest
 from survnet import km
 from survnet.errors import MetricUndefinedError, ValidationError
 from survnet.grid import TimeGrid
-from survnet.curves import SurvivalCurve, surv_from_hazard
+from survnet.curves import SurvivalCurve, pc_hazard_curve, surv_from_hazard
 from survnet.metrics import (
     EvalGrid,
     brier_scores,
@@ -230,6 +230,24 @@ class TestMse:
         curves = step_curves([0, 1, 2], [[0.9, 0.5]])
         with pytest.raises(ValidationError):
             mse_vs_truth(curves, np.zeros((2, 2)), EvalGrid(np.array([0.5, 1.5])))
+
+    @pytest.mark.parametrize("kind", ["step", "cdi", "chi", "pc-hazard"])
+    def test_blocked_rows_equal_the_direct_mean(self, kind):
+        # 4,100 rows span a full block of 4,096 and a partial one.
+        rng = np.random.default_rng(7)
+        grid = TimeGrid(np.linspace(0.0, 10.0, 9))
+        eta = rng.uniform(0.0, 0.4, (4100, 8))
+        if kind == "pc-hazard":
+            curves = pc_hazard_curve(eta, grid)
+        else:
+            curves = surv_from_hazard(1.0 - np.exp(-eta), grid).with_kind(kind)
+        times = np.linspace(0.05, 11.0, 37)
+        truth = rng.uniform(0.0, 1.0, (4100, 37))
+        # Bound to a name as in the unblocked code: numpy may otherwise reuse
+        # the column-major evaluate result in place, which sums in another order.
+        surv = curves.evaluate(times)
+        expected = np.mean((surv - truth) ** 2)
+        assert mse_vs_truth(curves, truth, EvalGrid(times)) == expected
 
 
 class TestEvalGrid:

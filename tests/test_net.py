@@ -20,6 +20,8 @@ from survnet.sim import SimConfig, generate_dataset
 from survnet.grid import equidistant_grid, discretize
 from survnet.dataset import fit_standardizer
 
+from oracles import reference_fit
+
 
 def squared_error_loss(target):
     """Quadratic surrogate used for exactness checks of the harness."""
@@ -221,6 +223,58 @@ class TestFit:
         best = min(entry["val_loss"] for entry in log)
         out = forward(trained, x)
         assert nll_logistic_hazard(out, labels).value == pytest.approx(best, abs=1e-12)
+
+
+class TestFlatBufferFit:
+    """fit against the per-array Adam loop of tests/oracles.py, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "loss_fn", [nll_logistic_hazard, nll_pmf, nll_pc_hazard], ids=["lh", "pmf", "pc"]
+    )
+    def test_matches_reference_loop(self, loss_fn, monkeypatch):
+        rng = np.random.default_rng(40)
+        n, n_val, m = 150, 60, 6
+
+        def labels(k):
+            return DiscreteLabels(
+                rng.integers(1, m + 1, k), rng.integers(0, 2, k), rng.uniform(0.05, 1.0, k)
+            )
+
+        x, x_val = rng.normal(size=(n, 4)), rng.normal(size=(n_val, 4))
+        train_labels, val_labels = labels(n), labels(n_val)
+        start = init_mlp([4, 12, 10, m], dropout=0.5, seed=8)
+        originals = [a.copy() for a in (*start.weights, *start.biases)]
+        # 32 does not divide 150, and the labels carry no signal, so the
+        # validation loss stalls and early stopping fires.
+        cfg = TrainConfig(
+            batch_size=32, learning_rate=0.05, max_epochs=40, patience=2, seed=9,
+            weight_decay=0.01,
+        )
+
+        trained_nets = []
+        true_forward = net_mod._forward_cached
+
+        def capturing(model, xb, training, rng):
+            if training:
+                trained_nets.append(model)
+            return true_forward(model, xb, training, rng)
+
+        monkeypatch.setattr(net_mod, "_forward_cached", capturing)
+        got, log = fit(start, loss_fn, x, train_labels, x_val, val_labels, cfg)
+        monkeypatch.undo()
+        want, want_log = reference_fit(start, loss_fn, x, train_labels, x_val, val_labels, cfg)
+
+        assert len(log) < cfg.max_epochs
+        assert log == want_log
+        for a, b in zip((*got.weights, *got.biases), (*want.weights, *want.biases)):
+            assert np.array_equal(a, b)
+        for a, b in zip((*start.weights, *start.biases), originals):
+            assert np.array_equal(a, b)
+        training = trained_nets[0]
+        assert all(model is training for model in trained_nets)
+        for a in (*got.weights, *got.biases):
+            for buffer in (*training.weights, *training.biases, *start.weights, *start.biases):
+                assert not np.shares_memory(a, buffer)
 
 
 class TestSerialization:
