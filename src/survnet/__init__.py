@@ -31,7 +31,6 @@ from .grid import (
     discretize,
     equidistant_grid,
     km_quantile_grid,
-    locate,
 )
 from .km import KaplanMeierCurve
 from .losses import (
@@ -45,7 +44,6 @@ from .losses import (
 )
 from .curves import (
     SurvivalCurve,
-    interpolate,
     pc_hazard_curve,
     pmf_probs,
     surv_from_hazard,
@@ -88,10 +86,8 @@ __all__ = [
     "gradient_check",
     "init_mlp",
     "integrated_brier_score",
-    "interpolate",
     "km_quantile_grid",
     "load_csv",
-    "locate",
     "logit_hazard",
     "mse_vs_truth",
     "nll_logistic_hazard",

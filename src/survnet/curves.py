@@ -152,40 +152,13 @@ def pc_hazard_curve(eta, grid: TimeGrid) -> SurvivalCurve:
     return SurvivalCurve(grid, values, "pc-hazard", eta=eta)
 
 
-def interpolate(curve: SurvivalCurve, scheme: str, times):
-    """Evaluate a discrete curve between its cuts with the given scheme."""
-    if scheme not in ("cdi", "chi"):
-        raise ValidationError(f"interpolation scheme must be 'cdi' or 'chi', got {scheme!r}")
-    return curve.with_kind(scheme).evaluate(times)
-
-
-def cdi_hazard(curve: SurvivalCurve, times):
-    """Continuous hazard rate implied by the constant-density reading.
-
-    Within interval j the density is the per-time drop of the survival values
-    and the hazard is density over interpolated survival, which grows through
-    the interval. Times are clamped to the grid range.
-    """
-    ts = np.clip(np.atleast_1d(np.asarray(times, dtype=float)), 0.0, curve.grid.t_max)
-    k, _ = locate_times(ts, curve.grid)
-    full = np.concatenate([np.ones((curve.n, 1)), curve.values], axis=1)
-    deltas = curve.grid.deltas
-    cuts = curve.grid.cuts
-    beta = (full[:, k - 1] - full[:, k]) / deltas[k - 1]
-    alpha = (full[:, k - 1] * cuts[k] - full[:, k] * cuts[k - 1]) / deltas[k - 1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = beta / (alpha - beta * ts[None, :])
-    return out[:, 0] if np.ndim(times) == 0 else out
-
-
 def write_curves_csv(path, times, values) -> None:
     """Rows of (time, survival per individual), one column per curve."""
     times = np.asarray(times, dtype=float)
     values = np.atleast_2d(np.asarray(values, dtype=float))
     if values.shape[1] != times.shape[0]:
         raise ValidationError("values must have one column per evaluation time")
+    rows = zip(times.tolist(), values.T)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", *(f"s{i}" for i in range(values.shape[0]))])
-        for q, t in enumerate(times):
-            writer.writerow([repr(float(t)), *(repr(float(v)) for v in values[:, q])])
+        csv.writer(fh).writerow(["t", *(f"s{i}" for i in range(values.shape[0]))])
+        fh.writelines(",".join(map(repr, [t, *col.tolist()])) + "\r\n" for t, col in rows)

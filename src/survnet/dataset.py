@@ -140,19 +140,14 @@ def write_csv(data: SurvivalDataset, path) -> None:
     """Write a dataset in the same format ``load_csv`` reads.
 
     Floats are written with shortest round-trip repr, so load after write
-    reproduces the arrays bit for bit.
+    reproduces the arrays bit for bit. The header goes through csv.writer,
+    which quotes unusual covariate names; data rows hold only numbers and
+    are joined directly, with csv.writer's CRLF line endings.
     """
+    rows = zip(data.durations.tolist(), data.events.tolist(), data.covariates)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["duration", "event", *data.covariate_names])
-        for i in range(data.n):
-            writer.writerow(
-                [
-                    repr(float(data.durations[i])),
-                    int(data.events[i]),
-                    *(repr(float(v)) for v in data.covariates[i]),
-                ]
-            )
+        csv.writer(fh).writerow(["duration", "event", *data.covariate_names])
+        fh.writelines(",".join(map(repr, [d, e, *x.tolist()])) + "\r\n" for d, e, x in rows)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -51,12 +50,6 @@ class TimeGrid:
     @property
     def t_max(self) -> float:
         return float(self.cuts[-1])
-
-
-class IntervalPosition(NamedTuple):
-    kappa: int
-    rho: float
-    clamped: bool = False
 
 
 @dataclass(frozen=True)
@@ -144,29 +137,10 @@ def km_quantile_grid(data, m: int) -> TimeGrid:
     return TimeGrid(cuts)
 
 
-def locate(t: float, grid: TimeGrid) -> IntervalPosition:
-    """Interval index kappa with t in (c_{kappa-1}, c_kappa] and fraction rho.
-
-    t = 0 maps to (1, 0.0); times beyond the last cut clamp to (m, 1.0) with
-    the clamped flag set.
-    """
-    t = float(t)
-    if t < 0:
-        raise ValidationError("t must be nonnegative")
-    cuts = grid.cuts
-    if t == 0.0:
-        return IntervalPosition(1, 0.0, False)
-    if t > cuts[-1]:
-        return IntervalPosition(grid.m, 1.0, True)
-    k = int(np.searchsorted(cuts, t, side="left"))
-    rho = (t - cuts[k - 1]) / (cuts[k] - cuts[k - 1])
-    return IntervalPosition(k, float(rho), False)
-
-
 def locate_times(times, grid: TimeGrid):
-    """Vectorized ``locate``: arrays of interval indices and fractions.
+    """Interval indices kappa with t in (c_{kappa-1}, c_kappa] and fractions rho.
 
-    Times beyond the last cut clamp silently to (m, 1.0).
+    t = 0 maps to (1, 0.0); times beyond the last cut clamp to (m, 1.0).
     """
     times = np.asarray(times, dtype=float)
     if np.any(times < 0):

@@ -17,7 +17,7 @@ from .errors import MetricUndefinedError, ValidationError
 
 _CHUNK = 256
 
-# Individuals per block in mse_vs_truth, the simulator's truth block size.
+# Individuals per block in mse_vs_truth; bounds the curve temporaries.
 _ROW_BLOCK = 4096
 
 

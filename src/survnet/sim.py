@@ -10,6 +10,13 @@ fixed linear map. Random censoring draws from a constant per-step hazard;
 anyone still event-free at the end of the grid is censored there. The exact
 survival curves are returned next to the data, enabling error measurement
 against the truth.
+
+One hazard kernel serves both generate_dataset and true_survival: it works
+through the individuals in blocks of rows, reusing a few preallocated block
+buffers, and puts every element through the same operations whatever the
+block size. The truth recomputed from the latent scores is therefore the
+simulator's truth bit for bit, and the memory beyond the n x n_steps truth
+stays a few block-sized arrays.
 """
 
 from __future__ import annotations
@@ -33,7 +40,9 @@ DEFAULT_SUBSET = 5
 # censoring). See calibrate_censor_hazard.
 DEFAULT_CENSOR_HAZARD = 0.00016113281249999998
 
-_ROW_CHUNK = 4096
+# Rows per block of the hazard kernel: each block buffer is _BLOCK_ROWS x
+# n_steps floats, 1 MB at the default grid.
+_BLOCK_ROWS = 128
 
 # First header field of the truth files write_truth_csv produces.
 TRUTH_LAYOUT = "survnet-truth-latent"
@@ -132,34 +141,78 @@ def logit_hazard(gammas: GammaSet, t):
     The three components are a sine wave, a constant and a ramp that falls
     from -10 at time zero; the softmax weights blend them.
     """
-    g = gammas.gamma
-    a = gammas.alpha
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))[None, :]
-    g_sin = g[:, [0]] * np.sin(g[:, [1]] * (t_arr + g[:, [2]])) + g[:, [3]]
-    g_con = g[:, [4]]
-    g_acc = g[:, [5]] * t_arr - 10.0
-    out = a[:, [0]] * g_sin + a[:, [1]] * g_con + a[:, [2]] * g_acc
+    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+    out = np.empty((gammas.gamma.shape[0], t_arr.shape[0]))
+    _logit_hazard_into(gammas.gamma, gammas.alpha, t_arr, out, np.empty_like(out))
     return out[:, 0] if np.ndim(t) == 0 else out
 
 
-def hazard(gammas: GammaSet, t):
-    """Per-step event probability: the logistic of the logit hazard."""
-    return sigmoid(logit_hazard(gammas, t))
+def _logit_hazard_into(g, a, t, out, scratch):
+    """Write the logit hazard of parameter rows g (weights a) at times t into out.
+
+    Evaluates a0 * (g0 * sin(g1 * (t + g2)) + g3) + a1 * g4 + a2 * (g5 * t - 10)
+    one ufunc at a time, in that order, so the result does not depend on
+    which buffers hold it.
+    """
+    np.add(t, g[:, 2:3], out=out)
+    np.multiply(g[:, 1:2], out, out=out)
+    np.sin(out, out=out)
+    np.multiply(g[:, 0:1], out, out=out)
+    np.add(out, g[:, 3:4], out=out)
+    np.multiply(a[:, 0:1], out, out=out)
+    np.add(out, a[:, 1:2] * g[:, 4:5], out=out)
+    np.multiply(g[:, 5:6], t, out=scratch)
+    np.subtract(scratch, 10.0, out=scratch)
+    np.multiply(a[:, 2:3], scratch, out=scratch)
+    np.add(out, scratch, out=out)
+
+
+def _sigmoid_into(x, out, mask):
+    """Write losses.sigmoid(x) into out with the same operations; x is overwritten."""
+    np.greater_equal(x, 0.0, out=mask)
+    np.abs(x, out=out)
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    np.add(1.0, out, out=x)
+    np.divide(1.0, x, out=out, where=mask)
+    np.logical_not(mask, out=mask)
+    np.divide(out, x, out=out, where=mask)
+
+
+def _survival_blocks(gammas: GammaSet, times: np.ndarray, truth: np.ndarray):
+    """Fill truth with the exact survival curves, _BLOCK_ROWS rows at a time.
+
+    Each block's hazards and survival are computed in buffers allocated once,
+    so the memory beyond truth stays a few block-sized arrays whatever the
+    number of rows. Every element goes through the same operations whatever
+    the block size, so the curves are the same bit for bit for any split into
+    blocks. Yields (lo, hi, h) after writing rows lo to hi - 1, h holding
+    their per-step event probabilities until the next block overwrites it.
+    """
+    gamma, alpha = gammas.gamma, gammas.alpha
+    logit = np.empty((min(_BLOCK_ROWS, gamma.shape[0]), times.shape[0]))
+    h = np.empty_like(logit)
+    mask = np.empty(logit.shape, dtype=bool)
+    for lo in range(0, gamma.shape[0], _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, gamma.shape[0])
+        x, hb = logit[: hi - lo], h[: hi - lo]
+        _logit_hazard_into(gamma[lo:hi], alpha[lo:hi], times, x, hb)
+        _sigmoid_into(x, hb, mask[: hi - lo])
+        np.subtract(1.0, hb, out=x)
+        np.cumprod(x, axis=1, out=truth[lo:hi])
+        yield lo, hi, hb
 
 
 def true_survival(gammas: GammaSet, times=None) -> np.ndarray:
     """Exact survival at every fine-grid time: running product of (1 - hazard).
 
-    Rows are computed in blocks of _ROW_CHUNK individuals, the blocks
-    generate_dataset uses, which bounds the temporaries and reproduces its
-    truth bit for bit.
+    Computed by the block kernel generate_dataset uses, so the curves
+    recomputed here equal its truth bit for bit, at any number of rows.
     """
     times = fine_times() if times is None else np.asarray(times, dtype=float)
-    gamma = gammas.gamma
-    out = np.empty((gamma.shape[0], times.shape[0]))
-    for lo in range(0, gamma.shape[0], _ROW_CHUNK):
-        h = hazard(GammaSet(gamma[lo : lo + _ROW_CHUNK]), times)
-        out[lo : lo + _ROW_CHUNK] = np.cumprod(1.0 - h, axis=1)
+    out = np.empty((gammas.gamma.shape[0], times.shape[0]))
+    for _ in _survival_blocks(gammas, times, out):
+        pass
     return out
 
 
@@ -216,23 +269,28 @@ def generate_dataset(cfg: SimConfig) -> SimResult:
     durations = np.empty(cfg.n)
     events = np.empty(cfg.n, dtype=int)
     truth = np.empty((cfg.n, cfg.n_steps))
-    for lo in range(0, cfg.n, _ROW_CHUNK):
-        hi = min(lo + _ROW_CHUNK, cfg.n)
-        h = hazard(GammaSet(gammas.gamma[lo:hi]), times)
-        truth[lo:hi] = np.cumprod(1.0 - h, axis=1)
-        event_hits = event_rng.random(h.shape) < h
-        has_event = event_hits.any(axis=1)
-        t_event = np.where(has_event, times[event_hits.argmax(axis=1)], np.inf)
-        cens_hits = cens_rng.random(h.shape) < cfg.censor_hazard
-        has_cens = cens_hits.any(axis=1)
-        t_cens = np.where(has_cens, times[cens_hits.argmax(axis=1)], np.inf)
+    # Each stream fills its block buffer in row-major order, so the draws are
+    # the same whatever the block size.
+    uniforms = np.empty((min(_BLOCK_ROWS, cfg.n), cfg.n_steps))
+    hits = np.empty(uniforms.shape, dtype=bool)
+    for lo, hi, h in _survival_blocks(gammas, times, truth):
+        u, hit = uniforms[: hi - lo], hits[: hi - lo]
+        t_event = _first_hit_time(np.less(event_rng.random(out=u), h, out=hit), times)
+        t_cens = _first_hit_time(
+            np.less(cens_rng.random(out=u), cfg.censor_hazard, out=hit), times
+        )
         t_cens = np.minimum(t_cens, cfg.t_max)
         durations[lo:hi] = np.minimum(t_event, t_cens)
-        events[lo:hi] = (t_event <= t_cens).astype(int)
+        events[lo:hi] = t_event <= t_cens
 
     data = SurvivalDataset(durations, events, covariates)
     design = LatentDesign(latent, coef, covariates)
     return SimResult(data, truth, times, design, gammas)
+
+
+def _first_hit_time(hits, times) -> np.ndarray:
+    """Per row, the time of the first True step, or inf if there is none."""
+    return np.where(hits.any(axis=1), times[hits.argmax(axis=1)], np.inf)
 
 
 def write_truth_csv(path, result: SimResult) -> None:

@@ -2,8 +2,11 @@
 
 Everything here is deliberately slow and direct: plain loops, exact rational
 arithmetic where it matters, and no code shared with the library under test.
-The one exception is ``reference_fit``, which restates only the training loop
-and runs the library's own forward and backward passes inside it.
+The exceptions are ``reference_fit``, which restates only the training loop
+and runs the library's own forward and backward passes inside it, and
+``reference_generate_dataset``, which restates only the hazard and draw loop
+of the simulator and takes the covariates and hazard parameters from the
+library.
 """
 
 from fractions import Fraction
@@ -278,3 +281,54 @@ def reference_fit(net, loss_fn, train_x, train_labels, val_x, val_labels, cfg):
                 break
     trained = net_mod.Mlp(tuple(best_params[:n_w]), tuple(best_params[n_w:]), net.dropout)
     return trained, log
+
+
+def _reference_hazard(gamma, times):
+    """Per-step event probability, one array per operation as the simulator had it."""
+    g = gamma
+    e = np.exp(g[:, 6:9] - g[:, 6:9].max(axis=1, keepdims=True))
+    a = e / e.sum(axis=1, keepdims=True)
+    t_arr = times[None, :]
+    g_sin = g[:, [0]] * np.sin(g[:, [1]] * (t_arr + g[:, [2]])) + g[:, [3]]
+    g_con = g[:, [4]]
+    g_acc = g[:, [5]] * t_arr - 10.0
+    logit = a[:, [0]] * g_sin + a[:, [1]] * g_con + a[:, [2]] * g_acc
+    z = np.exp(-np.abs(logit))
+    return np.where(logit >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
+
+
+def reference_generate_dataset(cfg, block=4096):
+    """The simulator's draw loop in 4,096-row blocks with a fresh array per step.
+
+    Returns (durations, events, covariates, truth) for a ``SimConfig``.
+    """
+    from survnet import sim
+
+    cov_ss, event_ss, cens_ss = np.random.SeedSequence(cfg.seed).spawn(3)
+    cov_rng = np.random.default_rng(cov_ss)
+    event_rng = np.random.default_rng(event_ss)
+    cens_rng = np.random.default_rng(cens_ss)
+    coef = sim.design_coefficients(cfg.design_seed, cfg.subset_size)
+    latent = cov_rng.uniform(-1.0, 1.0, size=(cfg.n, sim.N_LATENT))
+    u = cov_rng.uniform(-1.0, 1.0, size=(cfg.n, sim.N_LATENT, max(cfg.subset_size - 1, 0)))
+    covariates = sim._encode_covariates(latent, coef, u)
+    gamma = sim.gammas_from_latent(latent).gamma
+    times = sim.fine_times(cfg.n_steps, cfg.t_max)
+
+    durations = np.empty(cfg.n)
+    events = np.empty(cfg.n, dtype=int)
+    truth = np.empty((cfg.n, cfg.n_steps))
+    for lo in range(0, cfg.n, block):
+        hi = min(lo + block, cfg.n)
+        h = _reference_hazard(gamma[lo:hi], times)
+        truth[lo:hi] = np.cumprod(1.0 - h, axis=1)
+        event_hits = event_rng.random(h.shape) < h
+        has_event = event_hits.any(axis=1)
+        t_event = np.where(has_event, times[event_hits.argmax(axis=1)], np.inf)
+        cens_hits = cens_rng.random(h.shape) < cfg.censor_hazard
+        has_cens = cens_hits.any(axis=1)
+        t_cens = np.where(has_cens, times[cens_hits.argmax(axis=1)], np.inf)
+        t_cens = np.minimum(t_cens, cfg.t_max)
+        durations[lo:hi] = np.minimum(t_event, t_cens)
+        events[lo:hi] = (t_event <= t_cens).astype(int)
+    return durations, events, covariates, truth

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -5,8 +7,6 @@ from survnet.errors import ValidationError
 from survnet.grid import TimeGrid
 from survnet.curves import (
     SurvivalCurve,
-    cdi_hazard,
-    interpolate,
     pc_hazard_curve,
     pmf_probs,
     surv_from_hazard,
@@ -82,11 +82,11 @@ class TestPcHazardCurve:
 class TestInterpolate:
     def test_cdi_linear_midpoint(self):
         curve = SurvivalCurve(GRID2, [0.8, 0.4])
-        assert interpolate(curve, "cdi", 15.0)[0] == pytest.approx(0.6, abs=1e-15)
+        assert curve.with_kind("cdi").evaluate(15.0)[0] == pytest.approx(0.6, abs=1e-15)
 
     def test_chi_geometric_midpoint(self):
         curve = SurvivalCurve(GRID2, [0.8, 0.4])
-        assert interpolate(curve, "chi", 15.0)[0] == pytest.approx(
+        assert curve.with_kind("chi").evaluate(15.0)[0] == pytest.approx(
             np.sqrt(0.32), abs=1e-12
         )
 
@@ -97,7 +97,7 @@ class TestInterpolate:
         grid = TimeGrid(grid.cuts - grid.cuts[0])
         curve = surv_from_hazard(hazards, grid)
         for scheme in ("cdi", "chi"):
-            at_cuts = interpolate(curve, scheme, grid.cuts[1:])
+            at_cuts = curve.with_kind(scheme).evaluate(grid.cuts[1:])
             np.testing.assert_allclose(at_cuts, curve.values, atol=1e-12)
 
     def test_cdi_dominates_chi_inside_intervals(self):
@@ -106,13 +106,13 @@ class TestInterpolate:
         grid = TimeGrid(np.linspace(0, 10, 6))
         curve = surv_from_hazard(hazards, grid)
         ts = np.linspace(0.01, 9.99, 137)
-        cdi = interpolate(curve, "cdi", ts)
-        chi = interpolate(curve, "chi", ts)
+        cdi = curve.with_kind("cdi").evaluate(ts)
+        chi = curve.with_kind("chi").evaluate(ts)
         assert np.all(cdi - chi >= -1e-12)
 
     def test_unknown_scheme(self):
         with pytest.raises(ValidationError):
-            interpolate(SurvivalCurve(GRID2, [0.8, 0.4]), "cubic", 5.0)
+            SurvivalCurve(GRID2, [0.8, 0.4]).with_kind("cubic").evaluate(5.0)
 
 
 class TestMonotonicityAndIdentity:
@@ -175,7 +175,11 @@ class TestCdiHazard:
     def test_constant_density_increasing_hazard(self):
         curve = SurvivalCurve(GRID2, [0.8, 0.4])
         ts = np.array([2.0, 5.0, 8.0])
-        h = cdi_hazard(curve, ts)[0]
+        cdi = curve.with_kind("cdi")
+        # the reading is linear within (0, 10], so this difference is the
+        # density exactly; hazard is density over survival
+        density = cdi.evaluate(ts - 0.5)[0] - cdi.evaluate(ts + 0.5)[0]
+        h = density / cdi.evaluate(ts)[0]
         # density 0.02 per unit in the first interval, survival shrinking
         np.testing.assert_allclose(h, 0.02 / (1 - 0.02 * ts), atol=1e-12)
         assert np.all(np.diff(h) > 0)
@@ -192,3 +196,16 @@ class TestExport:
         parsed = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
         np.testing.assert_array_equal(parsed[:, 0], ts)
         np.testing.assert_array_equal(parsed[:, 1:], curve.evaluate(ts).T)
+
+    def test_bytes_equal_csv_writer_output(self, tmp_path):
+        rng = np.random.default_rng(4)
+        ts = np.array([0.0, 1e-7, 2.5, 1 / 3, 1e5])
+        values = np.sort(rng.uniform(0, 1, (3, ts.size)), axis=1)[:, ::-1]
+        path, expected = tmp_path / "fast.csv", tmp_path / "writer.csv"
+        write_curves_csv(path, ts, values)
+        with open(expected, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["t", "s0", "s1", "s2"])
+            for q, t in enumerate(ts):
+                writer.writerow([repr(float(t)), *(repr(float(v)) for v in values[:, q])])
+        assert path.read_bytes() == expected.read_bytes()

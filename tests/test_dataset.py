@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -73,6 +75,24 @@ class TestLoadCsv:
         np.testing.assert_array_equal(back.events, result.data.events)
         np.testing.assert_array_equal(back.covariates, result.data.covariates)
         assert back.covariate_names == result.data.covariate_names
+
+    def test_bytes_equal_csv_writer_output(self, tmp_path):
+        durations = [0.1, 1e-300, 12.5, 1e16, 1 / 3]
+        covariates = [[-0.0, 1e-5], [2.5, -1e300], [np.pi, 0.0], [1.0, 7e22], [-2.0, 0.1]]
+        names = ("a,b", 'quote"d')
+        data = SurvivalDataset(durations, [1, 0, 1, 0, 0], covariates, names)
+        path, expected = tmp_path / "fast.csv", tmp_path / "writer.csv"
+        write_csv(data, path)
+        with open(expected, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["duration", "event", *names])
+            for i in range(data.n):
+                writer.writerow(
+                    [repr(float(data.durations[i])), int(data.events[i]),
+                     *(repr(float(v)) for v in data.covariates[i])]
+                )
+        assert path.read_bytes() == expected.read_bytes()
+        assert path.read_bytes().startswith(b'duration,event,"a,b","quote""d"\r\n')
 
 
 class TestStandardizer:

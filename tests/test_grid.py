@@ -13,7 +13,7 @@ from survnet.grid import (
     discretize,
     equidistant_grid,
     km_quantile_grid,
-    locate,
+    locate_times,
 )
 
 from oracles import km_quantile_search
@@ -161,21 +161,25 @@ class TestLocate:
     grid = TimeGrid([0, 10, 20])
 
     def test_interior(self):
-        assert locate(15, self.grid) == (2, 0.5, False)
+        assert locate_times(15, self.grid) == (2, 0.5)
 
     def test_boundary(self):
-        kappa, rho, clamped = locate(10, self.grid)
-        assert (kappa, rho, clamped) == (1, 1.0, False)
+        kappa, rho = locate_times(10, self.grid)
+        assert (kappa, rho) == (1, 1.0)
 
     def test_clamp(self):
-        assert locate(25, self.grid) == (2, 1.0, True)
+        assert locate_times(25, self.grid) == (2, 1.0)
+        kappa, rho = locate_times([5, 20, 25, 1e9], self.grid)
+        assert kappa.tolist() == [1, 2, 2, 2] and rho.tolist() == [0.5, 1.0, 1.0, 1.0]
 
     def test_zero(self):
-        assert locate(0, self.grid) == (1, 0.0, False)
+        assert locate_times(0, self.grid) == (1, 0.0)
 
     def test_negative_rejected(self):
         with pytest.raises(ValidationError):
-            locate(-1, self.grid)
+            locate_times(-1, self.grid)
+        with pytest.raises(ValidationError):
+            locate_times([5, -1e-300], self.grid)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
@@ -184,8 +188,8 @@ class TestLocate:
     )
     def test_lexicographic_monotonicity(self, t1, t2):
         lo, hi = sorted((t1, t2))
-        k1, r1, _ = locate(lo, self.grid)
-        k2, r2, _ = locate(hi, self.grid)
+        k1, r1 = locate_times(lo, self.grid)
+        k2, r2 = locate_times(hi, self.grid)
         assert (k1, r1) <= (k2, r2)
 
 

@@ -1,6 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from oracles import reference_generate_dataset
+from survnet import sim
 from survnet.errors import SchemaError, ValidationError
 from survnet.sim import (
     TRUTH_LAYOUT,
@@ -141,6 +145,36 @@ class TestGenerateDataset:
             SimConfig(n=0)
         with pytest.raises(ValidationError):
             SimConfig(n=10, censor_hazard=1.5)
+
+
+class TestBlockKernel:
+    @pytest.mark.parametrize(
+        "n", [1, sim._BLOCK_ROWS - 1, sim._BLOCK_ROWS, sim._BLOCK_ROWS + 1, 4097]
+    )
+    @pytest.mark.parametrize(
+        "options",
+        [{}, {"censor_hazard": 0.0}, {"n_steps": 37, "t_max": 5.0}],
+        ids=["default", "no-censoring", "coarse-grid"],
+    )
+    def test_bit_identical_to_the_reference_loop(self, n, options):
+        cfg = SimConfig(n=n, seed=n, **options)
+        result = generate_dataset(cfg)
+        durations, events, covariates, truth = reference_generate_dataset(cfg)
+        np.testing.assert_array_equal(result.data.durations, durations)
+        np.testing.assert_array_equal(result.data.events, events)
+        np.testing.assert_array_equal(result.data.covariates, covariates)
+        np.testing.assert_array_equal(result.truth, truth)
+        np.testing.assert_array_equal(true_survival(result.gammas, result.times), truth)
+
+    def test_temporaries_stay_block_sized(self):
+        # full-size n x n_steps temporaries would add tens of MB at this n
+        tracemalloc.start()
+        try:
+            result = generate_dataset(SimConfig(n=4100))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < result.truth.nbytes + 10_000_000
 
 
 class TestTruthFile:
