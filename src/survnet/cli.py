@@ -310,6 +310,8 @@ def _parse_times(raw: str) -> np.ndarray:
         times = np.array([float(v) for v in raw.split(",") if v.strip() != ""])
     except ValueError:
         raise ValidationError(f"cannot parse times {raw!r}") from None
+    if not np.isfinite(times).all():
+        raise ValidationError(f"times must be finite, got {raw!r}")
     if times.size == 0 or np.any(np.diff(times) <= 0):
         raise ValidationError("times must be increasing and nonempty")
     return times
@@ -340,6 +342,9 @@ def run_evaluate(args) -> int:
     for key in ("model", "data"):
         if not cfg[key]:
             raise ValidationError(f"evaluate needs --{key}")
+    ibs_points = int(cfg["ibs_points"])
+    if ibs_points < 2:
+        raise ValidationError(f"--ibs-points must be at least 2, got {ibs_points}")
     method, time_grid, net, std = load_model(cfg["model"])
     raw = ds.load_csv(cfg["data"])
     data = std.apply(raw)
@@ -352,7 +357,7 @@ def run_evaluate(args) -> int:
                 f"truth has {truth.shape[0]} rows for {data.n} individuals"
             )
     reports = evaluate_curves(
-        curve, data.durations, data.events, int(cfg["ibs_points"]), truth, truth_times
+        curve, data.durations, data.events, ibs_points, truth, truth_times
     )
     text = json.dumps(reports, indent=2)
     if cfg["out"]:

@@ -69,8 +69,25 @@ class SurvivalCurve:
 
     def rows(self, start: int, stop: int) -> "SurvivalCurve":
         """The curves of individuals start to stop - 1, read the same way."""
-        eta = None if self.eta is None else self.eta[start:stop]
-        return SurvivalCurve(self.grid, self.values[start:stop], self.kind, eta)
+        return self._select(slice(start, stop))
+
+    def take(self, indices) -> "SurvivalCurve":
+        """The curves of the selected individuals; an index out of range raises."""
+        indices = np.asarray(indices, dtype=int)
+        if indices.ndim != 1:
+            raise ValidationError("take needs a 1-d array of individual indices")
+        return self._select(indices)
+
+    def _select(self, index) -> "SurvivalCurve":
+        # A selection of valid curves is valid, so the checks are not repeated.
+        sub = object.__new__(SurvivalCurve)
+        sub.grid, sub.kind = self.grid, self.kind
+        sub.values = self.values[index]
+        sub.eta = None if self.eta is None else self.eta[index]
+        for arr in (sub.values, sub.eta):
+            if arr is not None:
+                arr.setflags(write=False)
+        return sub
 
     def with_kind(self, kind: str) -> "SurvivalCurve":
         """Same discrete values, read with a different scheme between cuts."""
@@ -82,8 +99,8 @@ class SurvivalCurve:
         """Survival at the given time(s): shape (n,) for a scalar, (n, T) else."""
         scalar = np.ndim(times) == 0
         ts = np.atleast_1d(np.asarray(times, dtype=float))
-        if np.any(ts < 0):
-            raise ValidationError("evaluation times must be nonnegative")
+        if not (ts >= 0).all():  # also rejects NaN
+            raise ValidationError("evaluation times must be nonnegative numbers")
         full = np.concatenate([np.ones((self.n, 1)), self.values], axis=1)
         if self.kind == "step":
             j = np.searchsorted(self.grid.cuts, ts, side="right") - 1

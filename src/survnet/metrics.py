@@ -47,12 +47,22 @@ class EvalGrid:
 
 
 def td_concordance(curves, durations, events) -> float:
-    """Time-dependent concordance over comparable pairs.
+    """Time-dependent concordance over comparable pairs (Antolini et al., 2005).
 
     A pair is comparable when the earlier time belongs to an observed event,
     or when the times tie with one event and one censoring. It counts as
     concordant when the individual with the event has the lower predicted
     survival at that time; tied predictions count one half.
+
+    The individuals are sorted by duration once. Each chunk of unique event
+    times evaluates the curves on the rows at risk at its first time and
+    masks the comparable rows of all its times in one operation. Times with
+    one event are counted by one dense compare over the chunk; a time with k
+    tied events compares its k values against its comparable column in one
+    pass. The array work is O(n x unique event times); the Python work is one
+    pass per chunk plus one per tied event time. The counts are integers
+    (twice the concordant count), so the quotient does not depend on the
+    order of the pairs.
     """
     durations = np.asarray(durations, dtype=float)
     events = np.asarray(events, dtype=int)
@@ -63,25 +73,42 @@ def td_concordance(curves, durations, events) -> float:
     event_times = np.unique(durations[events == 1])
     if event_times.size == 0:
         raise MetricUndefinedError("no comparable pairs: no observed events")
-    concordant = 0.0
+    order = np.argsort(durations, kind="stable")
+    curves, durations, events = curves.take(order), durations[order], events[order]
+    twice_concordant = 0  # 2 per concordant pair, 1 per tied prediction
     comparable = 0
     for c0 in range(0, event_times.size, _CHUNK):
         chunk = event_times[c0 : c0 + _CHUNK]
-        surv = curves.evaluate(chunk)
-        for q, t in enumerate(chunk):
-            col = surv[:, q]
-            others = (durations > t) | ((durations == t) & (events == 0))
-            n_others = int(others.sum())
-            if n_others == 0:
-                continue
-            col_others = col[others]
-            for i in np.nonzero((durations == t) & (events == 1))[0]:
-                comparable += n_others
-                concordant += float((col_others > col[i]).sum())
-                concordant += 0.5 * float((col_others == col[i]).sum())
+        lo = int(np.searchsorted(durations, chunk[0]))
+        hi = int(np.searchsorted(durations, chunk[-1], side="right"))
+        surv = curves.rows(lo, curves.n).evaluate(chunk)
+        # Rows after hi are comparable at every time of the chunk; only the
+        # rows with durations inside the chunk need a mask.
+        head, tail = surv[: hi - lo], surv[hi - lo :]
+        d, e = durations[lo:hi, None], events[lo:hi, None]
+        others = (d > chunk) | ((d == chunk) & (e == 0))
+        # The chunk's events in duration order, each with its time's column.
+        rows = np.flatnonzero(events[lo:hi] == 1)
+        cols = np.searchsorted(chunk, durations[lo + rows])
+        ties = np.bincount(cols, minlength=chunk.size)
+        comparable += int((others.sum(axis=0) + tail.shape[0]) @ ties)
+        own = surv[rows, cols]
+        # x > v and x >= v count a concordant pair twice and a tie once; NaN
+        # compares false, which leaves the tied times to their own pass.
+        single = ties[cols] == 1
+        value = np.full(chunk.size, np.nan)
+        value[cols[single]] = own[single]
+        twice_concordant += np.count_nonzero(tail > value) + np.count_nonzero(tail >= value)
+        twice_concordant += np.count_nonzero((head > value) & others)
+        twice_concordant += np.count_nonzero((head >= value) & others)
+        ends = np.cumsum(ties)
+        for q in np.flatnonzero(ties > 1):
+            col = np.concatenate([head[others[:, q], q], tail[:, q]])
+            tied = own[ends[q] - ties[q] : ends[q], None]
+            twice_concordant += np.count_nonzero(col > tied) + np.count_nonzero(col >= tied)
     if comparable == 0:
         raise MetricUndefinedError("no comparable pairs")
-    return concordant / comparable
+    return twice_concordant / 2 / comparable
 
 
 def brier_scores(curves, durations, events, eval_grid: EvalGrid, censor_km):

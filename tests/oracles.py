@@ -3,10 +3,11 @@
 Everything here is deliberately slow and direct: plain loops, exact rational
 arithmetic where it matters, and no code shared with the library under test.
 The exceptions are ``reference_fit``, which restates only the training loop
-and runs the library's own forward and backward passes inside it, and
+and runs the library's own forward and backward passes inside it;
 ``reference_generate_dataset``, which restates only the hazard and draw loop
 of the simulator and takes the covariates and hazard parameters from the
-library.
+library; and ``reference_td_concordance``, the per-event concordance loop,
+which evaluates the library's curves.
 """
 
 from fractions import Fraction
@@ -97,6 +98,44 @@ def concordance_pairs(surv_at, durations, events):
                 concordant += 0.5
     if comparable == 0:
         raise ZeroDivisionError("no comparable pairs")
+    return concordant / comparable
+
+
+def reference_td_concordance(curves, durations, events):
+    """Time-dependent concordance with one Python pass per event, as it was.
+
+    Curves are evaluated on all individuals in chunks of 256 event times; each
+    event then compares its own value against its comparable column.
+    """
+    from survnet.errors import MetricUndefinedError, ValidationError
+
+    durations = np.asarray(durations, dtype=float)
+    events = np.asarray(events, dtype=int)
+    if durations.shape != events.shape or durations.ndim != 1:
+        raise ValidationError("durations and events must be 1-d arrays of equal length")
+    if curves.n != durations.shape[0]:
+        raise ValidationError("need one curve per individual")
+    event_times = np.unique(durations[events == 1])
+    if event_times.size == 0:
+        raise MetricUndefinedError("no comparable pairs: no observed events")
+    concordant = 0.0
+    comparable = 0
+    for c0 in range(0, event_times.size, 256):
+        chunk = event_times[c0 : c0 + 256]
+        surv = curves.evaluate(chunk)
+        for q, t in enumerate(chunk):
+            col = surv[:, q]
+            others = (durations > t) | ((durations == t) & (events == 0))
+            n_others = int(others.sum())
+            if n_others == 0:
+                continue
+            col_others = col[others]
+            for i in np.nonzero((durations == t) & (events == 1))[0]:
+                comparable += n_others
+                concordant += float((col_others > col[i]).sum())
+                concordant += 0.5 * float((col_others == col[i]).sum())
+    if comparable == 0:
+        raise MetricUndefinedError("no comparable pairs")
     return concordant / comparable
 
 

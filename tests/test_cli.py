@@ -196,6 +196,32 @@ class TestPredictAndEvaluate:
         assert_one_line_error(capsys)
         assert not curves_csv.exists()
 
+    @pytest.mark.parametrize("times", ["nan", "1,nan", "inf", "0.5,-inf"])
+    def test_non_finite_times_exit_one(self, pipeline, tmp_path, capsys, times):
+        model = tmp_path / "model.json"
+        assert run_cli(*fit_args(pipeline, model)) == 0
+        curves_csv = tmp_path / "curves.csv"
+        capsys.readouterr()
+        assert run_cli(
+            "predict", "--model", str(model), "--data", str(pipeline["test"]),
+            f"--times={times}", "--out", str(curves_csv),
+        ) == 1
+        assert_one_line_error(capsys)
+        assert not curves_csv.exists()
+
+    @pytest.mark.parametrize("ibs_points", ["-5", "0", "1"])
+    def test_ibs_points_below_two_exits_one(self, pipeline, tmp_path, capsys, ibs_points):
+        model = tmp_path / "model.json"
+        assert run_cli(*fit_args(pipeline, model)) == 0
+        report_path = tmp_path / "report.json"
+        capsys.readouterr()
+        assert run_cli(
+            "evaluate", "--model", str(model), "--data", str(pipeline["test"]),
+            "--ibs-points", ibs_points, "--out", str(report_path),
+        ) == 1
+        assert_one_line_error(capsys)
+        assert not report_path.exists()
+
     def test_interpolation_flags_change_evaluation_only(self, pipeline, tmp_path):
         model = tmp_path / "interp.json"
         assert run_cli(*fit_args(pipeline, model)) == 0

@@ -171,6 +171,58 @@ class TestSurvivalCurveContainer:
         assert curve.evaluate(5.0).shape == (1,)
 
 
+def random_curve(kind, n=40, m=6, seed=0):
+    rng = np.random.default_rng(seed)
+    grid = TimeGrid(np.linspace(0.0, 12.0, m + 1))
+    eta = rng.uniform(0.0, 0.5, (n, m))
+    if kind == "pc-hazard":
+        return pc_hazard_curve(eta, grid)
+    return surv_from_hazard(1.0 - np.exp(-eta), grid).with_kind(kind)
+
+
+@pytest.mark.parametrize("kind", ["step", "cdi", "chi", "pc-hazard"])
+class TestRowSelection:
+    TIMES = np.array([0.0, 0.7, 2.0, 5.5, 11.9, 12.0, 30.0])
+
+    def test_rows_are_the_parent_rows(self, kind):
+        curve = random_curve(kind)
+        part = curve.rows(7, 23)
+        assert (part.grid, part.kind, part.n) == (curve.grid, kind, 16)
+        np.testing.assert_array_equal(part.values, curve.values[7:23])
+        if kind == "pc-hazard":
+            np.testing.assert_array_equal(part.eta, curve.eta[7:23])
+        else:
+            assert part.eta is None
+        assert np.array_equal(part.evaluate(self.TIMES), curve.evaluate(self.TIMES)[7:23])
+
+    def test_take_follows_the_indices(self, kind):
+        curve = random_curve(kind)
+        order = np.random.default_rng(1).permutation(curve.n)
+        part = curve.take(order)
+        np.testing.assert_array_equal(part.values, curve.values[order])
+        if kind == "pc-hazard":
+            np.testing.assert_array_equal(part.eta, curve.eta[order])
+        assert np.array_equal(part.evaluate(self.TIMES), curve.evaluate(self.TIMES)[order])
+        with pytest.raises(IndexError):
+            curve.take([curve.n])
+        with pytest.raises(ValidationError):
+            curve.take(np.zeros((2, 2), dtype=int))
+
+    def test_selections_stay_read_only(self, kind):
+        curve = random_curve(kind)
+        for part in (curve.rows(3, 9), curve.take([5, 0, 5])):
+            for arr in (part.values, part.eta):
+                if arr is not None:
+                    with pytest.raises(ValueError):
+                        arr[0, 0] = 0.5
+
+    def test_nan_times_rejected(self, kind):
+        curve = random_curve(kind)
+        for times in (np.nan, [1.0, np.nan], [np.nan, 2.0]):
+            with pytest.raises(ValidationError):
+                curve.evaluate(times)
+
+
 class TestCdiHazard:
     def test_constant_density_increasing_hazard(self):
         curve = SurvivalCurve(GRID2, [0.8, 0.4])

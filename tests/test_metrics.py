@@ -3,8 +3,11 @@ import pytest
 
 from survnet import km
 from survnet.errors import MetricUndefinedError, ValidationError
-from survnet.grid import TimeGrid
-from survnet.curves import SurvivalCurve, pc_hazard_curve, surv_from_hazard
+from survnet.grid import TimeGrid, equidistant_grid
+from survnet.curves import SurvivalCurve, pc_hazard_curve, surv_from_hazard, surv_from_pmf
+from survnet.losses import sigmoid, softplus
+from survnet.net import forward, init_mlp
+from survnet.sim import SimConfig, generate_dataset
 from survnet.metrics import (
     EvalGrid,
     brier_scores,
@@ -14,7 +17,13 @@ from survnet.metrics import (
     td_concordance,
 )
 
-from oracles import brier_direct, concordance_pairs, mse_two_loops, trapezoid
+from oracles import (
+    brier_direct,
+    concordance_pairs,
+    mse_two_loops,
+    reference_td_concordance,
+    trapezoid,
+)
 
 
 def step_curves(grid_cuts, values):
@@ -100,6 +109,92 @@ class TestTdConcordance:
             surv_from_hazard(hazards[perm], grid), durations[perm], events[perm]
         )
         assert base == pytest.approx(shuffled, abs=1e-12)
+
+
+READINGS = ("pmf", "logistic-hazard", "pc-hazard", "cdi", "chi")
+
+
+def reading(name, data, m=20, seed=3):
+    """Curves of an untrained network under one of the five readings."""
+    net = init_mlp([data.p, 16, m], seed=seed)
+    logits = forward(net, data.covariates)
+    grid = equidistant_grid(100.0, m)
+    if name == "pmf":
+        return surv_from_pmf(logits, grid)
+    if name == "pc-hazard":
+        return pc_hazard_curve(softplus(logits), grid)
+    curve = surv_from_hazard(sigmoid(logits), grid)
+    return curve if name == "logistic-hazard" else curve.with_kind(name)
+
+
+def assert_matches_reference(curves, durations, events):
+    durations, events = np.asarray(durations, dtype=float), np.asarray(events)
+    before = (durations.copy(), events.copy(), curves.values.copy())
+    got = td_concordance(curves, durations, events)
+    assert got == reference_td_concordance(curves, durations, events)
+    for arr, copy in zip((durations, events, curves.values), before):
+        np.testing.assert_array_equal(arr, copy)
+    return got
+
+
+class TestTieAwareConcordance:
+    """The chunked concordance equals the per-event loop exactly, not approximately."""
+
+    @pytest.mark.parametrize("name", READINGS)
+    def test_jittered_tie_free_times(self, name):
+        result = generate_dataset(SimConfig(n=1000, seed=21))
+        step = 100.0 / 1000
+        jitter = np.random.default_rng(22).uniform(0.0, 1.0, 1000) * step
+        durations = result.data.durations - jitter
+        events = result.data.events
+        assert np.unique(durations[events == 1]).size == events.sum()
+        assert_matches_reference(reading(name, result.data), durations, events)
+
+    @pytest.mark.parametrize("name", ["logistic-hazard", "chi"])
+    def test_grid_tied_times_without_censoring(self, name):
+        result = generate_dataset(SimConfig(n=2000, seed=23, censor_hazard=0.0))
+        data = result.data
+        assert np.unique(data.durations).size < data.n // 2
+        assert_matches_reference(reading(name, data), data.durations, data.events)
+
+    @pytest.mark.parametrize("name", ["pmf", "cdi"])
+    def test_events_and_censorings_tied(self, name):
+        result = generate_dataset(SimConfig(n=600, seed=24))
+        rng = np.random.default_rng(25)
+        durations = rng.choice([5.0, 12.5, 30.0, 30.1, 62.0, 100.0], size=600)
+        events = rng.integers(0, 2, 600)
+        assert_matches_reference(reading(name, result.data), durations, events)
+
+    @pytest.mark.parametrize("n_times", [255, 256, 257, 513])
+    def test_chunk_boundaries(self, n_times):
+        # Each event time has one or two events; every fifth row is censored.
+        n = 2 * n_times + 40
+        result = generate_dataset(SimConfig(n=n, seed=26))
+        rng = np.random.default_rng(n_times)
+        times = np.sort(rng.uniform(1.0, 99.0, n_times))
+        durations = np.concatenate([times, rng.choice(times, n - n_times)])
+        events = np.ones(n, dtype=int)
+        events[n_times::5] = 0
+        order = rng.permutation(n)
+        durations, events = durations[order], events[order]
+        assert np.unique(durations[events == 1]).size == n_times
+        assert_matches_reference(reading("cdi", result.data), durations, events)
+
+    def test_single_event(self):
+        result = generate_dataset(SimConfig(n=50, seed=27))
+        durations = np.linspace(1.0, 90.0, 50)
+        events = np.zeros(50, dtype=int)
+        events[17] = 1
+        assert_matches_reference(reading("pc-hazard", result.data), durations, events)
+
+    @pytest.mark.parametrize("events", [[0, 0, 0, 0], [0, 0, 1, 1]])
+    def test_undefined_cases(self, events):
+        # No events; or events only at the largest time, where nothing is left.
+        curves = reading("chi", generate_dataset(SimConfig(n=4, seed=28)).data)
+        durations = [3.0, 7.0, 9.0, 9.0]
+        for metric in (td_concordance, reference_td_concordance):
+            with pytest.raises(MetricUndefinedError):
+                metric(curves, durations, events)
 
 
 class TestBrier:
