@@ -54,7 +54,7 @@ from .net import fit as fit_net
 from .metrics import EvalGrid, integrated_brier_score, mse_vs_truth, td_concordance
 from .sim import GammaSet, SimConfig, generate_dataset, logit_hazard, true_survival
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "DiscreteLabels",

@@ -35,6 +35,8 @@ METHODS = ("pmf", "logistic-hazard", "pc-hazard")
 GRID_SCHEMES = ("equidistant", "km-quantile")
 INTERPOLATIONS = ("none", "cdi", "chi")
 
+CHOICES = {"method": METHODS, "grid_scheme": GRID_SCHEMES, "interp": INTERPOLATIONS}
+
 LOSSES = {
     "pmf": nll_pmf,
     "logistic-hazard": nll_logistic_hazard,
@@ -100,6 +102,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _merge(args: argparse.Namespace, defaults: dict) -> dict:
+    """Defaults < --config file < flags; config values get the checks flags get."""
     cfg = dict(defaults)
     config_path = getattr(args, "config", None)
     if config_path:
@@ -118,7 +121,11 @@ def _merge(args: argparse.Namespace, defaults: dict) -> dict:
                 raise ValidationError(
                     f"config {config_path}: {key!r} has the wrong type: {value!r}"
                 )
-        cfg.update(loaded)
+            if key in CHOICES and value not in CHOICES[key]:
+                raise ValidationError(
+                    f"config {config_path}: {key!r} must be one of {CHOICES[key]}, got {value!r}"
+                )
+            cfg[key] = float(value) if isinstance(defaults[key], float) else value
     for key in defaults:
         value = getattr(args, key, None)
         if value is not None:
@@ -131,7 +138,8 @@ def _config_type_ok(default, value) -> bool:
     if default is None:
         return value is None or isinstance(value, str)
     if isinstance(default, float):
-        return isinstance(value, (int, float)) and not isinstance(value, bool)
+        # ints too, unless float() would overflow
+        return type(value) is float or (type(value) is int and abs(value) <= sys.float_info.max)
     return type(value) is type(default)
 
 
@@ -230,10 +238,10 @@ def run_simulate(args) -> int:
     if not cfg["out"]:
         raise ValidationError("simulate needs --out for the dataset file")
     sim_cfg = sim_.SimConfig(
-        n=int(cfg["n"]),
-        seed=int(cfg["seed"]),
-        design_seed=int(cfg["design_seed"]),
-        censor_hazard=float(cfg["censor_hazard"]),
+        n=cfg["n"],
+        seed=cfg["seed"],
+        design_seed=cfg["design_seed"],
+        censor_hazard=cfg["censor_hazard"],
     )
     result = sim_.generate_dataset(sim_cfg)
     ds.write_csv(result.data, cfg["out"])
@@ -249,9 +257,7 @@ def run_simulate(args) -> int:
 def _build_grid(scheme, data, m):
     if scheme == "equidistant":
         return grid_.equidistant_grid(float(data.durations.max()), m)
-    if scheme == "km-quantile":
-        return grid_.km_quantile_grid(data, m)
-    raise ValidationError(f"unknown grid scheme {scheme!r}")
+    return grid_.km_quantile_grid(data, m)
 
 
 def _labels_for(method, data, time_grid):
@@ -265,28 +271,28 @@ def run_fit(args) -> int:
     for key in ("train", "val", "out"):
         if not cfg[key]:
             raise ValidationError(f"fit needs --{key}")
+    if cfg["depth"] < 0:
+        raise ValidationError(f"--depth must be at least 0, got {cfg['depth']}")
     method = cfg["method"]
-    if method not in METHODS:
-        raise ValidationError(f"method must be one of {METHODS}")
     train = ds.load_csv(cfg["train"])
     val = ds.load_csv(cfg["val"])
     std = ds.fit_standardizer(train)
     train_s, val_s = std.apply(train), std.apply(val)
-    time_grid = _build_grid(cfg["grid_scheme"], train, int(cfg["m"]))
+    time_grid = _build_grid(cfg["grid_scheme"], train, cfg["m"])
     train_labels = _labels_for(method, train, time_grid)
     val_labels = _labels_for(method, val, time_grid)
-    widths = [train.p] + [int(cfg["width"])] * int(cfg["depth"]) + [time_grid.m]
-    net = net_.init_mlp(widths, dropout=float(cfg["dropout"]), seed=int(cfg["seed"]))
+    widths = [train.p] + [cfg["width"]] * cfg["depth"] + [time_grid.m]
+    net = net_.init_mlp(widths, dropout=cfg["dropout"], seed=cfg["seed"])
     train_cfg = net_.TrainConfig(
-        batch_size=int(cfg["batch_size"]),
-        learning_rate=float(cfg["lr"]),
-        cycle_length=int(cfg["cycle"]),
-        cycle_mult=int(cfg["cycle_mult"]),
-        lr_decay=float(cfg["lr_decay"]),
-        max_epochs=int(cfg["max_epochs"]),
-        patience=int(cfg["patience"]),
-        seed=int(cfg["seed"]),
-        weight_decay=float(cfg["weight_decay"]),
+        batch_size=cfg["batch_size"],
+        learning_rate=cfg["lr"],
+        cycle_length=cfg["cycle"],
+        cycle_mult=cfg["cycle_mult"],
+        lr_decay=cfg["lr_decay"],
+        max_epochs=cfg["max_epochs"],
+        patience=cfg["patience"],
+        seed=cfg["seed"],
+        weight_decay=cfg["weight_decay"],
     )
     trained, log = net_.fit(
         net, LOSSES[method], train_s.covariates, train_labels,
@@ -328,10 +334,9 @@ def run_predict(args) -> int:
     if cfg["times"]:
         times = _parse_times(cfg["times"])
     else:
-        num_times = int(cfg["num_times"])
-        if num_times < 1:
-            raise ValidationError(f"--num-times must be at least 1, got {num_times}")
-        times = np.linspace(0.0, time_grid.t_max, num_times)
+        if cfg["num_times"] < 1:
+            raise ValidationError(f"--num-times must be at least 1, got {cfg['num_times']}")
+        times = np.linspace(0.0, time_grid.t_max, cfg["num_times"])
     write_curves_csv(cfg["out"], times, curve.evaluate(times))
     print(f"wrote {data.n} curves at {times.size} times -> {cfg['out']}")
     return 0
@@ -342,12 +347,10 @@ def run_evaluate(args) -> int:
     for key in ("model", "data"):
         if not cfg[key]:
             raise ValidationError(f"evaluate needs --{key}")
-    ibs_points = int(cfg["ibs_points"])
-    if ibs_points < 2:
-        raise ValidationError(f"--ibs-points must be at least 2, got {ibs_points}")
+    if cfg["ibs_points"] < 2:
+        raise ValidationError(f"--ibs-points must be at least 2, got {cfg['ibs_points']}")
     method, time_grid, net, std = load_model(cfg["model"])
-    raw = ds.load_csv(cfg["data"])
-    data = std.apply(raw)
+    data = std.apply(ds.load_csv(cfg["data"]))
     curve = predict_curves(method, net, time_grid, data.covariates, cfg["interp"])
     truth = truth_times = None
     if cfg["truth"]:
@@ -357,7 +360,7 @@ def run_evaluate(args) -> int:
                 f"truth has {truth.shape[0]} rows for {data.n} individuals"
             )
     reports = evaluate_curves(
-        curve, data.durations, data.events, ibs_points, truth, truth_times
+        curve, data.durations, data.events, cfg["ibs_points"], truth, truth_times
     )
     text = json.dumps(reports, indent=2)
     if cfg["out"]:
@@ -369,62 +372,24 @@ def run_evaluate(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Per command, one flag per key of its defaults, typed as the default, plus --config."""
     parser = _Parser(prog="survnet", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_sim = sub.add_parser("simulate", help="generate a synthetic dataset plus truth")
-    p_sim.add_argument("--n", type=int)
-    p_sim.add_argument("--seed", type=int)
-    p_sim.add_argument("--design-seed", dest="design_seed", type=int)
-    p_sim.add_argument("--censor-hazard", dest="censor_hazard", type=float)
-    p_sim.add_argument("--out")
-    p_sim.add_argument("--truth")
-    p_sim.add_argument("--config")
-    p_sim.set_defaults(func=run_simulate)
-
-    p_fit = sub.add_parser("fit", help="train a survival model")
-    p_fit.add_argument("--method", choices=METHODS)
-    p_fit.add_argument("--train")
-    p_fit.add_argument("--val")
-    p_fit.add_argument("--grid-scheme", dest="grid_scheme", choices=GRID_SCHEMES)
-    p_fit.add_argument("--m", type=int)
-    p_fit.add_argument("--width", type=int)
-    p_fit.add_argument("--depth", type=int)
-    p_fit.add_argument("--dropout", type=float)
-    p_fit.add_argument("--batch-size", dest="batch_size", type=int)
-    p_fit.add_argument("--lr", type=float)
-    p_fit.add_argument("--cycle", type=int)
-    p_fit.add_argument("--cycle-mult", dest="cycle_mult", type=int)
-    p_fit.add_argument("--lr-decay", dest="lr_decay", type=float)
-    p_fit.add_argument("--weight-decay", dest="weight_decay", type=float)
-    p_fit.add_argument("--max-epochs", dest="max_epochs", type=int)
-    p_fit.add_argument("--patience", type=int)
-    p_fit.add_argument("--seed", type=int)
-    p_fit.add_argument("--out")
-    p_fit.add_argument("--log")
-    p_fit.add_argument("--config")
-    p_fit.set_defaults(func=run_fit)
-
-    p_pred = sub.add_parser("predict", help="write survival curves to CSV")
-    p_pred.add_argument("--model")
-    p_pred.add_argument("--data")
-    p_pred.add_argument("--interp", choices=INTERPOLATIONS)
-    p_pred.add_argument("--times")
-    p_pred.add_argument("--num-times", dest="num_times", type=int)
-    p_pred.add_argument("--out")
-    p_pred.add_argument("--config")
-    p_pred.set_defaults(func=run_predict)
-
-    p_eval = sub.add_parser("evaluate", help="score a model on a dataset")
-    p_eval.add_argument("--model")
-    p_eval.add_argument("--data")
-    p_eval.add_argument("--truth")
-    p_eval.add_argument("--interp", choices=INTERPOLATIONS)
-    p_eval.add_argument("--ibs-points", dest="ibs_points", type=int)
-    p_eval.add_argument("--out")
-    p_eval.add_argument("--config")
-    p_eval.set_defaults(func=run_evaluate)
-
+    commands = (
+        ("simulate", "generate a synthetic dataset plus truth", SIMULATE_DEFAULTS, run_simulate),
+        ("fit", "train a survival model", FIT_DEFAULTS, run_fit),
+        ("predict", "write survival curves to CSV", PREDICT_DEFAULTS, run_predict),
+        ("evaluate", "score a model on a dataset", EVALUATE_DEFAULTS, run_evaluate),
+    )
+    for name, help_text, defaults, func in commands:
+        command = sub.add_parser(name, help=help_text)
+        for key, default in defaults.items():
+            command.add_argument(
+                "--" + key.replace("_", "-"), dest=key, choices=CHOICES.get(key),
+                type=str if default is None else type(default),
+            )
+        command.add_argument("--config")
+        command.set_defaults(func=func)
     return parser
 
 

@@ -120,9 +120,6 @@ class SurvivalCurve:
             out = np.exp(-(base[:, k - 1] + self.eta[:, k - 1] * rho))
         return out[:, 0] if scalar else out
 
-    def __call__(self, times):
-        return self.evaluate(times)
-
     def __repr__(self) -> str:
         return f"SurvivalCurve(kind={self.kind!r}, n={self.n}, m={self.grid.m})"
 

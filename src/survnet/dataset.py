@@ -169,14 +169,6 @@ class Standardizer:
         scaled = (data.covariates - self.means) / self.stds
         return SurvivalDataset(data.durations, data.events, scaled, data.covariate_names)
 
-    def inverse(self, data: SurvivalDataset) -> SurvivalDataset:
-        if self.means.shape[0] != data.p:
-            raise ValidationError(
-                f"standardizer expects p={self.means.shape[0]}, data has p={data.p}"
-            )
-        raw = data.covariates * self.stds + self.means
-        return SurvivalDataset(data.durations, data.events, raw, data.covariate_names)
-
 
 def fit_standardizer(data: SurvivalDataset) -> Standardizer:
     """Column means and population (1/n) standard deviations.

@@ -99,9 +99,6 @@ def nll_pmf(logits, labels: DiscreteLabels) -> LossOutput:
     logits, n, m = _check_batch(logits, labels, "nll_pmf")
     idx = labels.idx
     event = labels.event
-    if np.any((event == 1) & (idx < 1)):
-        raise ValidationError("nll_pmf: an observed event needs interval index >= 1")
-
     padded = np.concatenate([logits, np.zeros((n, 1))], axis=1)
     gamma = padded.max(axis=1, keepdims=True)
     z = np.exp(padded - gamma)

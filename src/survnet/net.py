@@ -58,6 +58,8 @@ def init_mlp(widths, dropout: float = 0.0, seed: int = 0) -> Mlp:
     widths = [int(w) for w in widths]
     if len(widths) < 2 or min(widths) < 1:
         raise ValidationError("widths must list at least input and output sizes")
+    if seed < 0:
+        raise ValidationError("seed must be nonnegative")
     rng = np.random.default_rng(seed)
     ws, bs = [], []
     for fan_in, fan_out in zip(widths[:-1], widths[1:]):
@@ -142,8 +144,12 @@ class TrainConfig:
                 raise ValidationError(f"{name} must be positive")
         if not 0.0 < self.lr_decay <= 1.0:
             raise ValidationError("lr_decay must be in (0, 1]")
+        if not (np.isfinite(self.learning_rate) and np.isfinite(self.weight_decay)):
+            raise ValidationError("learning_rate and weight_decay must be finite")
         if self.weight_decay < 0:
             raise ValidationError("weight_decay must be nonnegative")
+        if self.seed < 0:
+            raise ValidationError("seed must be nonnegative")
 
 
 def learning_rate_at(cfg: TrainConfig, position: float) -> float:

@@ -37,7 +37,7 @@ DEFAULT_SUBSET = 5
 
 # Constant per-step censoring probability calibrated by bisection so that the
 # overall censored fraction is 0.37 at large n (includes end-of-grid
-# censoring). See calibrate_censor_hazard.
+# censoring). See calibrate_censor_hazard in tests/oracles.py.
 DEFAULT_CENSOR_HAZARD = 0.00016113281249999998
 
 # Rows per block of the hazard kernel: each block buffer is _BLOCK_ROWS x
@@ -61,6 +61,8 @@ class SimConfig:
     def __post_init__(self):
         if self.n < 1:
             raise ValidationError("n must be at least 1")
+        if self.seed < 0 or self.design_seed < 0:
+            raise ValidationError("seed and design_seed must be nonnegative")
         if not 0.0 <= self.censor_hazard < 1.0:
             raise ValidationError("censor_hazard must lie in [0, 1)")
         if self.n_steps < 1 or self.t_max <= 0:
@@ -313,23 +315,20 @@ def write_truth_csv(path, result: SimResult) -> None:
 def load_truth_csv(path):
     """Read a truth file as (fine-grid times, survival matrix).
 
-    The header names the layout. Files written by write_truth_csv start with
-    ``survnet-truth-latent`` and hold latent scores, from which the curves
-    are recomputed. The older layout, whose header lists the times and whose
-    rows hold the survival values themselves, is still read. Anything else
-    raises SchemaError.
+    The file must be one write_truth_csv produced: a ``survnet-truth-latent``
+    header, then latent scores from which the curves are recomputed. Anything
+    else raises SchemaError.
     """
     with open(path, newline="") as fh:
         header = fh.readline().strip()
         if not header:
             raise SchemaError(f"{path}: empty truth file")
         fields = header.split(",")
-        if fields[0] == TRUTH_LAYOUT:
-            times = _latent_layout_times(fields[1:], path)
-            latent = _read_truth_rows(fh, N_LATENT, path)
-            return times, true_survival(gammas_from_latent(latent), times)
-        times = _stored_layout_times(fields, path)
-        return times, _read_truth_rows(fh, times.shape[0], path)
+        if fields[0] != TRUTH_LAYOUT:
+            raise SchemaError(f"{path}: unrecognised truth file header {fields[0][:40]!r}")
+        times = _latent_layout_times(fields[1:], path)
+        latent = _read_truth_rows(fh, N_LATENT, path)
+        return times, true_survival(gammas_from_latent(latent), times)
 
 
 def _latent_layout_times(fields, path) -> np.ndarray:
@@ -347,16 +346,6 @@ def _latent_layout_times(fields, path) -> np.ndarray:
     if not (np.isfinite(t_max) and t_max > 0):
         raise SchemaError(f"{path}: t_max must be positive and finite, got {t_max!r}")
     return fine_times(n_steps, t_max)
-
-
-def _stored_layout_times(fields, path) -> np.ndarray:
-    try:
-        times = np.array([float(v) for v in fields])
-    except ValueError:
-        raise SchemaError(f"{path}: unrecognised truth file header {fields[0][:40]!r}") from None
-    if not np.isfinite(times).all() or times[0] <= 0 or np.any(np.diff(times) <= 0):
-        raise SchemaError(f"{path}: truth header times must be positive, finite and increasing")
-    return times
 
 
 def _read_truth_rows(fh, width: int, path) -> np.ndarray:
@@ -378,31 +367,3 @@ def _read_truth_rows(fh, width: int, path) -> np.ndarray:
     if not rows:
         raise SchemaError(f"{path}: truth file has no data rows")
     return np.array(rows)
-
-
-def calibrate_censor_hazard(
-    target: float = 0.37, n: int = 100_000, seed: int = 12345, tol: float = 1e-3
-) -> float:
-    """Bisection for the per-step censoring hazard hitting a censored fraction.
-
-    Used once to fix DEFAULT_CENSOR_HAZARD; kept for reproducibility.
-    """
-    def fraction(c: float) -> float:
-        cfg = SimConfig(n=n, seed=seed, censor_hazard=c)
-        return generate_dataset(cfg).censored_fraction
-
-    lo, hi = 0.0, 0.01
-    if fraction(lo) > target:
-        return lo
-    while fraction(hi) < target:
-        hi *= 2
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        frac = fraction(mid)
-        if abs(frac - target) < tol:
-            return mid
-        if frac < target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)

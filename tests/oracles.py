@@ -6,8 +6,10 @@ The exceptions are ``reference_fit``, which restates only the training loop
 and runs the library's own forward and backward passes inside it;
 ``reference_generate_dataset``, which restates only the hazard and draw loop
 of the simulator and takes the covariates and hazard parameters from the
-library; and ``reference_td_concordance``, the per-event concordance loop,
-which evaluates the library's curves.
+library; ``reference_td_concordance``, the per-event concordance loop,
+which evaluates the library's curves; and ``calibrate_censor_hazard``, the
+bisection that fixed the simulator's default censoring hazard by running the
+simulator.
 """
 
 from fractions import Fraction
@@ -371,3 +373,33 @@ def reference_generate_dataset(cfg, block=4096):
         durations[lo:hi] = np.minimum(t_event, t_cens)
         events[lo:hi] = (t_event <= t_cens).astype(int)
     return durations, events, covariates, truth
+
+
+def calibrate_censor_hazard(
+    target: float = 0.37, n: int = 100_000, seed: int = 12345, tol: float = 1e-3
+) -> float:
+    """Bisection for the per-step censoring hazard hitting a censored fraction.
+
+    Used once to fix ``sim.DEFAULT_CENSOR_HAZARD``; kept for reproducibility.
+    """
+    from survnet import sim
+
+    def fraction(c: float) -> float:
+        cfg = sim.SimConfig(n=n, seed=seed, censor_hazard=c)
+        return sim.generate_dataset(cfg).censored_fraction
+
+    lo, hi = 0.0, 0.01
+    if fraction(lo) > target:
+        return lo
+    while fraction(hi) < target:
+        hi *= 2
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        frac = fraction(mid)
+        if abs(frac - target) < tol:
+            return mid
+        if frac < target:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)

@@ -22,6 +22,7 @@ def run_cli(*argv):
 def assert_one_line_error(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
 
 
 def simulate_files(tmp_path, n=300, seed=1, censor="default"):
@@ -143,8 +144,9 @@ class TestFit:
         assert len(doc["grid"]["cuts"]) == 7  # flag beats config
 
     @pytest.mark.parametrize("cfg", [
-        {"m": "abc"}, {"m": 2.5}, {"lr": True}, {"train": 3}, [1, 2],
-    ], ids=["str-for-int", "float-for-int", "bool-for-float", "int-for-path", "not-object"])
+        {"m": "abc"}, {"m": 2.5}, {"lr": True}, {"train": 3}, [1, 2], {"lr": 10**400},
+    ], ids=["str-for-int", "float-for-int", "bool-for-float", "int-for-path", "not-object",
+            "int-too-large-for-float"])
     def test_config_value_of_wrong_type_rejected(self, pipeline, tmp_path, capsys, cfg):
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps(cfg))
@@ -259,31 +261,14 @@ class TestPredictAndEvaluate:
             "--truth", str(pipeline["train_truth"]),
         ) == 1
 
-    def test_old_truth_layout_gives_identical_report(self, pipeline, tmp_path):
-        result = generate_dataset(SimConfig(n=400, seed=13))
-        old_truth = tmp_path / "old_truth.csv"
-        with open(old_truth, "w") as fh:
-            for row in (result.times, *result.truth):
-                fh.write(",".join(repr(float(v)) for v in row) + "\n")
-        model = tmp_path / "model.json"
-        assert run_cli(*fit_args(pipeline, model)) == 0
-        reports = []
-        for truth in (pipeline["test_truth"], old_truth):
-            report_path = tmp_path / "report.json"
-            assert run_cli(
-                "evaluate", "--model", str(model), "--data", str(pipeline["test"]),
-                "--truth", str(truth), "--out", str(report_path),
-            ) == 0
-            reports.append(report_path.read_bytes())
-        assert b"mse_vs_truth" in reports[0]
-        assert reports[0] == reports[1]
-
     @pytest.mark.parametrize("content", [
         b"a,b,c\n1,2,3\n",
         b"survnet-truth-latent,n_steps=1000,t_max=100.0\n0.5,nan,0,0,0,0,0,0,0\n",
         b"\xff\xfe\x00binary",
         None,
-    ], ids=["garbled", "non-finite-latent", "not-utf8", "missing"])
+        # the layout before 0.2.0: a header of times, then one survival curve per row
+        b"0.1,0.2,0.3\n0.9,0.8,0.7\n",
+    ], ids=["garbled", "non-finite-latent", "not-utf8", "missing", "old-layout"])
     def test_bad_truth_file_exits_one(self, pipeline, tmp_path, capsys, content):
         model = tmp_path / "model.json"
         assert run_cli(*fit_args(pipeline, model)) == 0
@@ -349,6 +334,71 @@ class TestModelFile:
 
     def test_unknown_flag_exits_one(self):
         assert run_cli("fit", "--frobnicate") == 1
+
+
+class TestOptions:
+    @pytest.mark.parametrize("command, defaults", [
+        ("simulate", cli.SIMULATE_DEFAULTS), ("fit", cli.FIT_DEFAULTS),
+        ("predict", cli.PREDICT_DEFAULTS), ("evaluate", cli.EVALUATE_DEFAULTS),
+    ])
+    def test_every_default_key_is_a_flag_and_a_config_key(self, tmp_path, command, defaults):
+        values = {key: "x" if default is None else default for key, default in defaults.items()}
+        argv = [command]
+        for key, value in values.items():
+            argv += ["--" + key.replace("_", "-"), str(value)]
+        args = cli.build_parser().parse_args(argv)
+        flags = {key: getattr(args, key) for key in defaults}
+        assert flags == values
+        assert all(type(flags[key]) is type(values[key]) for key in values)
+        # a float option given as a JSON integer still comes back as a float
+        cfg = {key: int(v) if isinstance(v, float) and v.is_integer() else v
+               for key, v in values.items()}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        args = cli.build_parser().parse_args([command, "--config", str(cfg_path)])
+        merged = cli._merge(args, defaults)
+        assert merged == values
+        assert all(type(merged[key]) is type(values[key]) for key in values)
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("fit", "grid_scheme", "foo"), ("fit", "method", "mtlr"),
+        ("predict", "interp", "cubic"), ("evaluate", "interp", "cubic"),
+    ])
+    def test_config_value_outside_choices_exits_one(self, tmp_path, capsys, command, key, value):
+        missing = str(tmp_path / "missing.csv")
+        inputs = {"fit": ["--train", missing, "--val", missing],
+                  "predict": ["--model", missing, "--data", missing],
+                  "evaluate": ["--model", missing, "--data", missing]}[command]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({key: value}))
+        assert run_cli(command, "--config", str(cfg_path), *inputs,
+                       "--out", str(tmp_path / "out")) == 1
+        assert f"{key!r} must be one of" in assert_one_line_error(capsys)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    @pytest.mark.parametrize("command, key, value", [
+        ("simulate", "seed", -1), ("simulate", "design_seed", -2), ("fit", "seed", -3),
+        ("fit", "depth", -1), ("fit", "weight_decay", float("nan")),
+        ("fit", "lr", float("nan")), ("fit", "lr", float("inf")),
+    ])
+    def test_negative_seed_or_depth_or_non_finite_rate_exits_one(
+        self, pipeline, tmp_path, capsys, via, command, key, value
+    ):
+        out = tmp_path / "out"
+        argv = {"simulate": ["simulate", "--n", "10"],
+                "fit": ["fit", "--train", str(pipeline["train"]), "--val", str(pipeline["val"]),
+                        "--m", "5", "--max-epochs", "1"]}[command] + ["--out", str(out)]
+        if via == "flag":
+            argv += ["--" + key.replace("_", "-"), str(value)]
+        else:
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps({key: value}))
+            argv += ["--config", str(cfg_path)]
+        capsys.readouterr()
+        assert run_cli(*argv) == 1
+        assert_one_line_error(capsys)
+        assert not out.exists()
 
 
 # The directory holding the imported survnet package, for child processes.

@@ -113,12 +113,6 @@ class TestStandardizer:
         twice = fit_standardizer(once).apply(once)
         np.testing.assert_allclose(twice.covariates, once.covariates, atol=1e-12)
 
-    def test_inverse_recovers_covariates(self):
-        data = make_dataset(n=30, p=4, seed=2)
-        std = fit_standardizer(data)
-        back = std.inverse(std.apply(data))
-        np.testing.assert_allclose(back.covariates, data.covariates, atol=1e-10)
-
     def test_dimension_mismatch(self):
         std = fit_standardizer(make_dataset(p=2))
         with pytest.raises(ValidationError):

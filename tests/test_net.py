@@ -303,3 +303,15 @@ class TestConfigValidation:
             TrainConfig(lr_decay=0.0)
         with pytest.raises(ValidationError):
             TrainConfig(lr_decay=1.5)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"seed": -1}, {"learning_rate": float("nan")}, {"learning_rate": float("inf")},
+        {"weight_decay": float("nan")}, {"weight_decay": float("inf")},
+    ])
+    def test_negative_seed_and_non_finite_rates(self, kwargs):
+        with pytest.raises(ValidationError):
+            TrainConfig(**kwargs)
+
+    def test_init_rejects_negative_seed(self):
+        with pytest.raises(ValidationError):
+            init_mlp([3, 2], seed=-1)

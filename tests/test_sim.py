@@ -145,6 +145,10 @@ class TestGenerateDataset:
             SimConfig(n=0)
         with pytest.raises(ValidationError):
             SimConfig(n=10, censor_hazard=1.5)
+        with pytest.raises(ValidationError):
+            SimConfig(n=10, seed=-1)
+        with pytest.raises(ValidationError):
+            SimConfig(n=10, design_seed=-1)
 
 
 class TestBlockKernel:
@@ -198,13 +202,6 @@ class TestTruthFile:
         np.testing.assert_array_equal(times, result.times)
         np.testing.assert_array_equal(truth, result.truth)
 
-    def test_old_layout_still_loads(self, tmp_path):
-        path = tmp_path / "old.csv"
-        path.write_text("0.5,1.0,1.5\n0.9,0.8,0.25\n\n1.0,0.5,0.125\n")
-        times, truth = load_truth_csv(path)
-        np.testing.assert_array_equal(times, [0.5, 1.0, 1.5])
-        np.testing.assert_array_equal(truth, [[0.9, 0.8, 0.25], [1.0, 0.5, 0.125]])
-
     def test_grid_must_be_the_fine_grid(self, tmp_path):
         result = generate_dataset(SimConfig(n=3, seed=12))
         shifted = SimResult(result.data, result.truth, result.times + 1.0,
@@ -237,12 +234,13 @@ LATENT_HEADER = f"{TRUTH_LAYOUT},n_steps=10,t_max=1.0"
         (f"{TRUTH_LAYOUT},n_steps=10,t_max=-2\n{LATENT_ROW}\n", "t_max must be positive"),
         (f"{TRUTH_LAYOUT},n_steps=10,t_max=inf\n{LATENT_ROW}\n", "t_max must be positive"),
         (f"{TRUTH_LAYOUT},n_steps=10,t_max=ten\n{LATENT_ROW}\n", "integer n_steps"),
-        ("0.5,1.0\n0.9,x\n", "row 1: could not convert"),
-        ("0.5,1.0\n0.9,0.8\n0.9\n", "row 2 has 1 values, expected 2"),
-        ("0.5,1.0\n0.9,nan\n", "row 1 has a non-finite"),
-        ("-1.0,-0.5\n0.9,0.8\n", "times must be positive"),
-        ("0.0\n0.9\n", "times must be positive"),
-        ("1.0,0.5\n0.9,0.8\n", "times must be positive, finite and increasing"),
+        # the layout before 0.2.0, a header of times, is no longer read
+        ("0.5,1.0\n0.9,x\n", "unrecognised truth file header"),
+        ("0.5,1.0\n0.9,0.8\n0.9\n", "unrecognised truth file header"),
+        ("0.5,1.0\n0.9,nan\n", "unrecognised truth file header"),
+        ("-1.0,-0.5\n0.9,0.8\n", "unrecognised truth file header"),
+        ("0.0\n0.9\n", "unrecognised truth file header"),
+        ("1.0,0.5\n0.9,0.8\n", "unrecognised truth file header"),
     ],
     ids=[
         "empty", "unrecognised-header", "unknown-layout", "latent-no-rows",
