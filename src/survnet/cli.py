@@ -216,7 +216,8 @@ def evaluate_curves(curve, durations, events, ibs_points: int = 100,
     """Metric reports for predicted curves against observed outcomes.
 
     This is the evaluation core behind the evaluate subcommand; tests can call
-    it directly with hand-built curves.
+    it directly with hand-built curves. The truth, if given, is an individuals
+    x truth_times array or a sim.GammaSet (see metrics.mse_vs_truth).
     """
     n = len(durations)
     concordance = metrics_.td_concordance(curve, durations, events)
@@ -308,6 +309,13 @@ def run_fit(args) -> int:
         f"fitted {method} with {time_grid.m} intervals in {len(log)} epochs "
         f"(best val loss {best:.6f}) -> {cfg['out']}"
     )
+    untrained = LOSSES[method](net_.forward(net, val_s.covariates), val_labels).value
+    if not best < untrained:
+        print(
+            f"warning: best val loss {best:.6f} is not below the untrained network's "
+            f"{untrained:.6f}; the fit diverged or learned nothing",
+            file=sys.stderr,
+        )
     return 0
 
 
@@ -355,9 +363,9 @@ def run_evaluate(args) -> int:
     truth = truth_times = None
     if cfg["truth"]:
         truth_times, truth = sim_.load_truth_csv(cfg["truth"])
-        if truth.shape[0] != data.n:
+        if truth.gamma.shape[0] != data.n:
             raise ValidationError(
-                f"truth has {truth.shape[0]} rows for {data.n} individuals"
+                f"truth has {truth.gamma.shape[0]} rows for {data.n} individuals"
             )
     reports = evaluate_curves(
         curve, data.durations, data.events, cfg["ibs_points"], truth, truth_times
@@ -406,6 +414,9 @@ def main(argv=None) -> int:
         return 1
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read or write a file: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

@@ -62,14 +62,20 @@ class SurvivalCurve:
         self.values = values
         self.kind = kind
         self.eta = eta
+        self._cache = None
 
     @property
     def n(self) -> int:
         return self.values.shape[0]
 
     def rows(self, start: int, stop: int) -> "SurvivalCurve":
-        """The curves of individuals start to stop - 1, read the same way."""
-        return self._select(slice(start, stop))
+        """The curves of individuals start to stop - 1, read the same way.
+
+        The selection reads slices of this curve's tables, built here if need be.
+        """
+        sub = self._select(slice(start, stop))
+        sub._cache = tuple(t[:, start:stop] for t in self._tables())
+        return sub
 
     def take(self, indices) -> "SurvivalCurve":
         """The curves of the selected individuals; an index out of range raises."""
@@ -81,7 +87,7 @@ class SurvivalCurve:
     def _select(self, index) -> "SurvivalCurve":
         # A selection of valid curves is valid, so the checks are not repeated.
         sub = object.__new__(SurvivalCurve)
-        sub.grid, sub.kind = self.grid, self.kind
+        sub.grid, sub.kind, sub._cache = self.grid, self.kind, None
         sub.values = self.values[index]
         sub.eta = None if self.eta is None else self.eta[index]
         for arr in (sub.values, sub.eta):
@@ -95,30 +101,74 @@ class SurvivalCurve:
             raise ValidationError("cannot reinterpret as pc-hazard without hazard masses")
         return SurvivalCurve(self.grid, self.values, kind, self.eta)
 
-    def evaluate(self, times):
-        """Survival at the given time(s): shape (n,) for a scalar, (n, T) else."""
+    def evaluate(self, times, out=None):
+        """Survival at the given time(s): shape (n,) for a scalar, (n, T) else.
+
+        Gathers whole rows of the reading's cached table, one per time, and
+        applies the reading's ufuncs in place, with at most one scratch array.
+        The result is a new column-major (n, T) array, or ``out`` when given,
+        which must be a column-major float64 array of that shape (a scalar
+        time counts as T = 1).
+        """
         scalar = np.ndim(times) == 0
         ts = np.atleast_1d(np.asarray(times, dtype=float))
         if not (ts >= 0).all():  # also rejects NaN
             raise ValidationError("evaluation times must be nonnegative numbers")
-        full = np.concatenate([np.ones((self.n, 1)), self.values], axis=1)
+        shape = (self.n, ts.size)
+        if out is None:
+            out = np.empty(shape, order="F")
+        elif not (
+            isinstance(out, np.ndarray) and out.shape == shape
+            and out.dtype == np.float64 and out.flags.f_contiguous
+        ):
+            raise ValidationError(f"out must be a column-major float64 array of shape {shape}")
+        table = self._tables()
         if self.kind == "step":
             j = np.searchsorted(self.grid.cuts, ts, side="right") - 1
-            out = full[:, np.clip(j, 0, self.grid.m)]
-        elif self.kind == "cdi":
-            k, rho = locate_times(ts, self.grid)
-            out = full[:, k - 1] * (1.0 - rho) + full[:, k] * rho
-        elif self.kind == "chi":
-            k, rho = locate_times(ts, self.grid)
-            hazard_cum = -np.log(np.maximum(full, SURVIVAL_FLOOR))
-            out = np.exp(-(hazard_cum[:, k - 1] * (1.0 - rho) + hazard_cum[:, k] * rho))
+            np.take(table[0], np.clip(j, 0, self.grid.m), axis=0, out=out.T, mode="clip")
+            return out[:, 0] if scalar else out
+        k, rho = locate_times(ts, self.grid)
+        scratch = np.empty(shape, order="F")
+        np.take(table[0], k - 1, axis=0, out=out.T, mode="clip")
+        if self.kind == "pc-hazard":
+            # base + eta * rho
+            np.take(table[1], k - 1, axis=0, out=scratch.T, mode="clip")
         else:
-            k, rho = locate_times(ts, self.grid)
-            base = np.concatenate(
-                [np.zeros((self.n, 1)), np.cumsum(self.eta, axis=1)], axis=1
-            )
-            out = np.exp(-(base[:, k - 1] + self.eta[:, k - 1] * rho))
+            # a * (1 - rho) + b * rho, in survival (cdi) or cumulative hazard (chi)
+            np.multiply(out, 1.0 - rho, out=out)
+            np.take(table[0], k, axis=0, out=scratch.T, mode="clip")
+        np.multiply(scratch, rho, out=scratch)
+        np.add(out, scratch, out=out)
+        if self.kind != "cdi":
+            np.negative(out, out=out)
+            np.exp(out, out=out)
         return out[:, 0] if scalar else out
+
+    def _tables(self) -> tuple:
+        """The reading's lookup tables, transposed to (m + 1) x n, built once.
+
+        Row j holds every individual's value at cut j: survival for step and
+        cdi, -log(max(survival, SURVIVAL_FLOOR)) for chi, and for pc-hazard
+        the cumulative hazard plus a second table of the masses (m rows).
+        """
+        if self._cache is None:
+            full = np.empty((self.grid.m + 1, self.n))
+            if self.kind == "pc-hazard":
+                full[0] = 0.0
+                np.cumsum(self.eta.T, axis=0, out=full[1:])
+                tables = (full, np.ascontiguousarray(self.eta.T))
+            else:
+                full[0] = 1.0
+                full[1:] = self.values.T
+                if self.kind == "chi":
+                    np.maximum(full, SURVIVAL_FLOOR, out=full)
+                    np.log(full, out=full)
+                    np.negative(full, out=full)
+                tables = (full,)
+            for t in tables:
+                t.setflags(write=False)
+            self._cache = tables
+        return self._cache
 
     def __repr__(self) -> str:
         return f"SurvivalCurve(kind={self.kind!r}, n={self.n}, m={self.grid.m})"

@@ -13,12 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import km as km_
+from . import sim as sim_
 from .errors import MetricUndefinedError, ValidationError
 
 _CHUNK = 256
-
-# Individuals per block in mse_vs_truth; bounds the curve temporaries.
-_ROW_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -62,7 +60,7 @@ def td_concordance(curves, durations, events) -> float:
     pass. The array work is O(n x unique event times); the Python work is one
     pass per chunk plus one per tied event time. The counts are integers
     (twice the concordant count), so the quotient does not depend on the
-    order of the pairs.
+    order of the pairs. Every chunk is evaluated into one reused buffer.
     """
     durations = np.asarray(durations, dtype=float)
     events = np.asarray(events, dtype=int)
@@ -77,11 +75,13 @@ def td_concordance(curves, durations, events) -> float:
     curves, durations, events = curves.take(order), durations[order], events[order]
     twice_concordant = 0  # 2 per concordant pair, 1 per tied prediction
     comparable = 0
+    buf = np.empty(curves.n * min(_CHUNK, event_times.size))
     for c0 in range(0, event_times.size, _CHUNK):
         chunk = event_times[c0 : c0 + _CHUNK]
         lo = int(np.searchsorted(durations, chunk[0]))
         hi = int(np.searchsorted(durations, chunk[-1], side="right"))
-        surv = curves.rows(lo, curves.n).evaluate(chunk)
+        r, c = curves.n - lo, chunk.size
+        surv = curves.rows(lo, curves.n).evaluate(chunk, out=buf[: c * r].reshape(c, r).T)
         # Rows after hi are comparable at every time of the chunk; only the
         # rows with durations inside the chunk need a mask.
         head, tail = surv[: hi - lo], surv[hi - lo :]
@@ -156,26 +156,40 @@ def integrated_brier_score(
 def mse_vs_truth(curves, truth, eval_grid: EvalGrid) -> float:
     """Mean over individuals and times of the squared estimation error.
 
-    Curves are evaluated in blocks of rows; only the truth and the squared
-    errors are held in full, and one mean sums them as an unblocked one would.
+    The truth is an individuals x times array, or a sim.GammaSet whose exact
+    curves are then computed block by block straight into the squared-error
+    array. Curves are evaluated sim._BLOCK_ROWS rows at a time into one
+    reused buffer; only the squared errors are held in full, and one mean
+    sums them as an unblocked one would.
     """
-    truth = np.asarray(truth, dtype=float)
     times = eval_grid.times
-    shape = (curves.n, times.size)
-    if truth.shape != shape:
-        raise ValidationError(
-            f"truth has shape {truth.shape}, expected {shape} (individuals x times)"
-        )
-    squared = None
-    for lo in range(0, max(curves.n, 1), _ROW_BLOCK):  # one pass even for no rows
-        surv = curves.rows(lo, lo + _ROW_BLOCK).evaluate(times)
-        if squared is None:
-            # Allocated once the evaluation's temporaries are freed, so the
-            # two do not add up in the peak memory.
-            squared = np.empty(shape)
-        block = squared[lo : lo + _ROW_BLOCK]
-        np.subtract(surv, truth[lo : lo + _ROW_BLOCK], out=block)
-        del surv
+    n, block_rows = curves.n, sim_._BLOCK_ROWS
+    shape = (n, times.size)
+    streamed = isinstance(truth, sim_.GammaSet)
+    if streamed:
+        if truth.gamma.shape[0] != n:
+            raise ValidationError(f"truth has {truth.gamma.shape[0]} rows for {n} curves")
+    else:
+        truth = np.asarray(truth, dtype=float)
+        if truth.shape != shape:
+            raise ValidationError(
+                f"truth has shape {truth.shape}, expected {shape} (individuals x times)"
+            )
+    squared = np.empty(shape)
+    if streamed:
+        # Each truth block lands in squared; (t - s)**2 equals (s - t)**2 exactly.
+        blocks = sim_._survival_blocks(truth, times, squared)
+    else:
+        blocks = ((lo, min(lo + block_rows, n), None) for lo in range(0, n, block_rows))
+    buf = np.empty(min(block_rows, n) * times.size)
+    for lo, hi, _ in blocks:
+        r = hi - lo
+        surv = curves.rows(lo, hi).evaluate(times, out=buf[: r * times.size].reshape(-1, r).T)
+        block = squared[lo:hi]
+        if streamed:
+            np.subtract(block, surv, out=block)
+        else:
+            np.subtract(surv, truth[lo:hi], out=block)
         np.square(block, out=block)
     return float(np.mean(squared))
 

@@ -69,6 +69,13 @@ class SimConfig:
             raise ValidationError("the fine grid needs n_steps >= 1 and t_max > 0")
         if self.subset_size < 1:
             raise ValidationError("subset_size must be at least 1")
+        # The truth and the covariates are n rows of float64; numpy cannot
+        # address an array of more bytes than its index type holds.
+        width = max(int(self.n_steps), N_LATENT * int(self.subset_size))
+        if int(self.n) * width * 8 > np.iinfo(np.intp).max:
+            raise ValidationError(
+                f"n = {self.n} is too large for arrays of n x {width} floats"
+            )
 
 
 def fine_times(n_steps: int = N_STEPS, t_max: float = T_MAX) -> np.ndarray:
@@ -313,11 +320,12 @@ def write_truth_csv(path, result: SimResult) -> None:
 
 
 def load_truth_csv(path):
-    """Read a truth file as (fine-grid times, survival matrix).
+    """Read a truth file as (fine-grid times, GammaSet), holding no curve matrix.
 
     The file must be one write_truth_csv produced: a ``survnet-truth-latent``
-    header, then latent scores from which the curves are recomputed. Anything
-    else raises SchemaError.
+    header, then latent scores, mapped to the hazard parameters. Anything
+    else raises SchemaError. true_survival(gammas, times) recomputes the
+    exact curves bit for bit; metrics.mse_vs_truth does so block by block.
     """
     with open(path, newline="") as fh:
         header = fh.readline().strip()
@@ -328,7 +336,7 @@ def load_truth_csv(path):
             raise SchemaError(f"{path}: unrecognised truth file header {fields[0][:40]!r}")
         times = _latent_layout_times(fields[1:], path)
         latent = _read_truth_rows(fh, N_LATENT, path)
-        return times, true_survival(gammas_from_latent(latent), times)
+        return times, gammas_from_latent(latent)
 
 
 def _latent_layout_times(fields, path) -> np.ndarray:

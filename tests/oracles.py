@@ -7,9 +7,11 @@ and runs the library's own forward and backward passes inside it;
 ``reference_generate_dataset``, which restates only the hazard and draw loop
 of the simulator and takes the covariates and hazard parameters from the
 library; ``reference_td_concordance``, the per-event concordance loop,
-which evaluates the library's curves; and ``calibrate_censor_hazard``, the
-bisection that fixed the simulator's default censoring hazard by running the
-simulator.
+which evaluates the library's curves; ``reference_evaluate``, the curve
+reading that rebuilds its table and allocates every temporary on each call,
+which uses the library's interval lookup; and ``calibrate_censor_hazard``,
+the bisection that fixed the simulator's default censoring hazard by running
+the simulator.
 """
 
 from fractions import Fraction
@@ -139,6 +141,40 @@ def reference_td_concordance(curves, durations, events):
     if comparable == 0:
         raise MetricUndefinedError("no comparable pairs")
     return concordant / comparable
+
+
+def reference_evaluate(curve, times):
+    """SurvivalCurve.evaluate as it was before the cached, in-place kernel.
+
+    Survival at the given time(s): shape (n,) for a scalar, (n, T) else.
+    """
+    from survnet.curves import SURVIVAL_FLOOR
+    from survnet.errors import ValidationError
+    from survnet.grid import locate_times
+
+    self = curve
+    scalar = np.ndim(times) == 0
+    ts = np.atleast_1d(np.asarray(times, dtype=float))
+    if not (ts >= 0).all():  # also rejects NaN
+        raise ValidationError("evaluation times must be nonnegative numbers")
+    full = np.concatenate([np.ones((self.n, 1)), self.values], axis=1)
+    if self.kind == "step":
+        j = np.searchsorted(self.grid.cuts, ts, side="right") - 1
+        out = full[:, np.clip(j, 0, self.grid.m)]
+    elif self.kind == "cdi":
+        k, rho = locate_times(ts, self.grid)
+        out = full[:, k - 1] * (1.0 - rho) + full[:, k] * rho
+    elif self.kind == "chi":
+        k, rho = locate_times(ts, self.grid)
+        hazard_cum = -np.log(np.maximum(full, SURVIVAL_FLOOR))
+        out = np.exp(-(hazard_cum[:, k - 1] * (1.0 - rho) + hazard_cum[:, k] * rho))
+    else:
+        k, rho = locate_times(ts, self.grid)
+        base = np.concatenate(
+            [np.zeros((self.n, 1)), np.cumsum(self.eta, axis=1)], axis=1
+        )
+        out = np.exp(-(base[:, k - 1] + self.eta[:, k - 1] * rho))
+    return out[:, 0] if scalar else out
 
 
 def brier_direct(surv_at, durations, events, times, g_before, g_at):

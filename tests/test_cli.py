@@ -66,6 +66,20 @@ class TestSimulate:
     def test_missing_out_is_validation_error(self):
         assert run_cli("simulate", "--n", "10") == 1
 
+    def test_oversized_n_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "big.csv"
+        assert run_cli("simulate", "--n", "1000000000000000000000", "--out", str(out)) == 1
+        assert "too large" in assert_one_line_error(capsys)
+        assert not out.exists()
+
+    def test_out_of_memory_exits_one(self, tmp_path, capsys, monkeypatch):
+        def exhausted(cfg):
+            raise MemoryError("Unable to allocate 745. GiB for an array")
+
+        monkeypatch.setattr(cli.sim_, "generate_dataset", exhausted)
+        assert run_cli("simulate", "--n", "10", "--out", str(tmp_path / "a.csv")) == 1
+        assert "out of memory" in assert_one_line_error(capsys)
+
 
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
@@ -121,6 +135,18 @@ class TestFit:
             "--m", "3", "--out", str(model),
         )
         assert code == 1
+
+    def test_diverged_fit_warns_and_still_succeeds(self, pipeline, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        capsys.readouterr()
+        assert run_cli(*fit_args(pipeline, model)) == 0
+        assert capsys.readouterr().err == ""
+        argv = fit_args(pipeline, model, extra=("--lr", "1e6", "--max-epochs", "3"))
+        assert run_cli(*argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("fitted logistic-hazard") and model.exists()
+        assert captured.err.startswith("warning: ") and captured.err.count("\n") == 1
+        assert "untrained network" in captured.err
 
     def test_training_log_is_json_lines(self, pipeline, tmp_path):
         model = tmp_path / "model.json"

@@ -2,10 +2,14 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import reference_evaluate
 from survnet.errors import ValidationError
 from survnet.grid import TimeGrid
 from survnet.curves import (
+    KINDS,
     SurvivalCurve,
     pc_hazard_curve,
     pmf_probs,
@@ -221,6 +225,88 @@ class TestRowSelection:
         for times in (np.nan, [1.0, np.nan], [np.nan, 2.0]):
             with pytest.raises(ValidationError):
                 curve.evaluate(times)
+
+
+def irregular_curve(kind, n, seed):
+    """Curves on an uneven grid, with flat stretches and survival below the floor."""
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, 9))
+    grid = TimeGrid(np.concatenate([[0.0], np.cumsum(rng.uniform(0.1, 3.0, m))]))
+    eta = rng.uniform(0.0, 0.8, (n, m))
+    eta[rng.random((n, m)) < 0.1] = 0.0
+    eta[rng.random((n, m)) < 0.05] = 40.0
+    if kind == "pc-hazard":
+        return pc_hazard_curve(eta, grid)
+    return surv_from_hazard(1.0 - np.exp(-eta), grid).with_kind(kind)
+
+
+def draw_times(data, cuts):
+    """Unsorted times with repeats: 0, the cuts, points between and past the last cut."""
+    point = st.one_of(
+        st.just(0.0),
+        st.sampled_from(cuts.tolist()),
+        st.floats(0.0, 1.5 * cuts[-1], allow_nan=False),
+        st.just(2.0 * cuts[-1] + 1.0),
+    )
+    return np.array(data.draw(st.lists(point, min_size=1, max_size=12)))
+
+
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+@pytest.mark.parametrize("n", [1, 127, 128, 129, 300])
+@pytest.mark.parametrize("kind", KINDS)
+class TestEvaluateKernel:
+    """The cached, in-place reading equals the rebuilt, allocating one exactly."""
+
+    @settings(max_examples=5)
+    @given(seed=SEEDS, data=st.data())
+    def test_owned_result_equals_oracle(self, kind, n, seed, data):
+        curve = irregular_curve(kind, n, seed)
+        times = draw_times(data, curve.grid.cuts)
+        got = curve.evaluate(times)
+        assert np.array_equal(got, reference_evaluate(curve, times))
+        assert got.flags.f_contiguous and got.flags.owndata
+        assert np.array_equal(curve.evaluate(times[0]), reference_evaluate(curve, times[0]))
+
+    @settings(max_examples=5)
+    @given(seed=SEEDS, data=st.data())
+    def test_out_view_of_a_larger_buffer(self, kind, n, seed, data):
+        curve = irregular_curve(kind, n, seed)
+        times = draw_times(data, curve.grid.cuts)
+        size = n * times.size
+        buf = np.full(size + 2 * n + 3, -7.0)
+        out = buf[n : n + size].reshape(times.size, n).T
+        assert curve.evaluate(times, out=out) is out
+        assert np.array_equal(out, reference_evaluate(curve, times))
+        assert (buf[:n] == -7.0).all() and (buf[n + size :] == -7.0).all()
+
+    @settings(max_examples=5)
+    @given(seed=SEEDS, data=st.data())
+    def test_rows_and_take_equal_oracle_rows(self, kind, n, seed, data):
+        curve = irregular_curve(kind, n, seed)
+        times = draw_times(data, curve.grid.cuts)
+        expected = reference_evaluate(curve, times)
+        a = data.draw(st.integers(0, n))
+        b = data.draw(st.integers(a, n))
+        assert np.array_equal(curve.rows(a, b).evaluate(times), expected[a:b])
+        order = np.random.default_rng(seed).integers(0, n, n)
+        assert np.array_equal(curve.take(order).evaluate(times), expected[order])
+
+    def test_bad_out_rejected(self, kind, n):
+        curve = irregular_curve(kind, n, 0)
+        times = np.array([0.5, 1.0, 2.0])
+        for out in (
+            np.empty((n, 4), order="F"),
+            np.empty((n + 1, 3), order="F"),
+            np.empty((n, 3), order="F", dtype=np.float32),
+            np.empty((3, n)).T.tolist(),
+        ):
+            with pytest.raises(ValidationError):
+                curve.evaluate(times, out=out)
+        if n > 1:
+            with pytest.raises(ValidationError):
+                curve.evaluate(times, out=np.empty((n, 3)))
 
 
 class TestCdiHazard:

@@ -1,13 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from survnet import km
+from survnet import km, metrics, sim
 from survnet.errors import MetricUndefinedError, ValidationError
 from survnet.grid import TimeGrid, equidistant_grid
 from survnet.curves import SurvivalCurve, pc_hazard_curve, surv_from_hazard, surv_from_pmf
 from survnet.losses import sigmoid, softplus
 from survnet.net import forward, init_mlp
-from survnet.sim import SimConfig, generate_dataset
+from survnet.sim import SimConfig, fine_times, gammas_from_latent, generate_dataset, true_survival
 from survnet.metrics import (
     EvalGrid,
     brier_scores,
@@ -328,7 +332,7 @@ class TestMse:
 
     @pytest.mark.parametrize("kind", ["step", "cdi", "chi", "pc-hazard"])
     def test_blocked_rows_equal_the_direct_mean(self, kind):
-        # 4,100 rows span a full block of 4,096 and a partial one.
+        # 4,100 rows span 32 full blocks of 128 and a partial one.
         rng = np.random.default_rng(7)
         grid = TimeGrid(np.linspace(0.0, 10.0, 9))
         eta = rng.uniform(0.0, 0.4, (4100, 8))
@@ -343,6 +347,108 @@ class TestMse:
         surv = curves.evaluate(times)
         expected = np.mean((surv - truth) ** 2)
         assert mse_vs_truth(curves, truth, EvalGrid(times)) == expected
+
+
+def hazard_curves(name, n, seed, m=6, t_max=20.0):
+    """Random curves of n individuals under one of the four kinds."""
+    rng = np.random.default_rng(seed)
+    grid = TimeGrid(np.linspace(0.0, t_max, m + 1))
+    eta = rng.uniform(0.0, 0.6, (n, m))
+    if name == "pc-hazard":
+        return pc_hazard_curve(eta, grid)
+    return surv_from_hazard(1.0 - np.exp(-eta), grid).with_kind(name)
+
+
+class TestBlockedEquivalence:
+    """Chunked and row-blocked metrics equal their unblocked forms exactly."""
+
+    @settings(max_examples=40)
+    @given(
+        chunk=st.integers(2, 5), n=st.integers(1, 60), decimals=st.integers(0, 2),
+        kind=st.sampled_from(["step", "cdi", "chi", "pc-hazard"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_concordance_equals_the_per_event_loop(self, chunk, n, decimals, kind, seed):
+        # Rounded durations force ties, among events and with censorings.
+        rng = np.random.default_rng(seed)
+        durations = np.round(rng.uniform(0.0, 25.0, n), decimals)
+        events = rng.integers(0, 2, n)
+        curves = hazard_curves(kind, n, seed)
+        try:
+            expected = reference_td_concordance(curves, durations, events)
+        except MetricUndefinedError:
+            expected = None
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(metrics, "_CHUNK", chunk)
+            if expected is None:
+                with pytest.raises(MetricUndefinedError):
+                    td_concordance(curves, durations, events)
+            else:
+                assert td_concordance(curves, durations, events) == expected
+
+    @settings(max_examples=20)
+    @given(
+        block=st.integers(1, 7), n=st.integers(1, 40),
+        kind=st.sampled_from(["step", "cdi", "chi", "pc-hazard"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_mse_equals_the_unblocked_mean(self, block, n, kind, seed):
+        rng = np.random.default_rng(seed)
+        gammas = gammas_from_latent(rng.uniform(-1.0, 1.0, (n, 9)))
+        grid = EvalGrid(fine_times(60, 25.0))
+        truth = true_survival(gammas, grid.times)
+        curves = hazard_curves(kind, n, seed)
+        surv = curves.evaluate(grid.times)
+        expected = np.mean((surv - truth) ** 2)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sim, "_BLOCK_ROWS", block)
+            assert mse_vs_truth(curves, truth, grid) == expected
+            assert mse_vs_truth(curves, gammas, grid) == expected
+
+    def test_gamma_truth_row_count_checked(self):
+        gammas = gammas_from_latent(np.zeros((3, 9)))
+        with pytest.raises(ValidationError):
+            mse_vs_truth(hazard_curves("step", 4, 0), gammas, EvalGrid(fine_times(10, 20.0)))
+
+
+def traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+class TestMemory:
+    """Full-size n x T temporaries would add tens of MB at these sizes."""
+
+    N, T = 4100, 1000
+    BLOCK_BYTES = sim._BLOCK_ROWS * T * 8
+
+    @pytest.mark.parametrize("kind", ["step", "cdi", "chi", "pc-hazard"])
+    def test_mse_holds_only_the_squared_errors(self, kind):
+        rng = np.random.default_rng(8)
+        gammas = gammas_from_latent(rng.uniform(-1.0, 1.0, (self.N, 9)))
+        grid = EvalGrid(fine_times(self.T, 100.0))
+        truth = true_survival(gammas, grid.times)
+        curves = hazard_curves(kind, self.N, 9, m=25, t_max=100.0)
+        squared_bytes = self.N * self.T * 8
+        for given_truth in (truth, gammas):
+            _, peak = traced_peak(mse_vs_truth, curves, given_truth, grid)
+            assert peak < squared_bytes + 6 * self.BLOCK_BYTES
+
+    @pytest.mark.parametrize("kind", ["step", "cdi"])
+    def test_concordance_holds_one_chunk_buffer(self, kind):
+        # Every individual has its own event time: 16 chunks of 256 times.
+        rng = np.random.default_rng(10)
+        durations = rng.permutation(np.linspace(0.5, 99.5, self.N))
+        events = np.ones(self.N, dtype=int)
+        curves = hazard_curves(kind, self.N, 11, m=25, t_max=100.0)
+        buffer_bytes = self.N * metrics._CHUNK * 8
+        _, peak = traced_peak(td_concordance, curves, durations, events)
+        assert peak < 2 * buffer_bytes + buffer_bytes // 2
 
 
 class TestEvalGrid:

@@ -147,6 +147,10 @@ class TestGenerateDataset:
             SimConfig(n=10, censor_hazard=1.5)
         with pytest.raises(ValidationError):
             SimConfig(n=10, seed=-1)
+        for kwargs in ({"n": 10**21}, {"n": 10**16}, {"n": 1, "n_steps": 2**62},
+                       {"n": 10**16, "n_steps": 1, "subset_size": 10**3}):
+            with pytest.raises(ValidationError):  # more bytes than numpy can index
+                SimConfig(**kwargs)
         with pytest.raises(ValidationError):
             SimConfig(n=10, design_seed=-1)
 
@@ -186,7 +190,8 @@ class TestTruthFile:
         result = generate_dataset(SimConfig(n=7, seed=10))
         path = tmp_path / "truth.csv"
         write_truth_csv(path, result)
-        times, truth = load_truth_csv(path)
+        times, gammas = load_truth_csv(path)
+        truth = true_survival(gammas, times)
         np.testing.assert_array_equal(times, result.times)
         np.testing.assert_array_equal(truth, result.truth)
         lines = path.read_text().splitlines()
@@ -198,7 +203,8 @@ class TestTruthFile:
         result = generate_dataset(SimConfig(n=4100, seed=11))
         path = tmp_path / "truth.csv"
         write_truth_csv(path, result)
-        times, truth = load_truth_csv(path)
+        times, gammas = load_truth_csv(path)
+        truth = true_survival(gammas, times)
         np.testing.assert_array_equal(times, result.times)
         np.testing.assert_array_equal(truth, result.truth)
 
