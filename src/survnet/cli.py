@@ -155,8 +155,8 @@ def save_model(path, method, time_grid, net, standardizer) -> None:
         },
     }
     with open(path, "w") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+        # dumps takes the C encoder; dump would encode in Python
+        fh.write(json.dumps(doc) + "\n")
 
 
 def load_model(path):
@@ -309,7 +309,7 @@ def run_fit(args) -> int:
         f"fitted {method} with {time_grid.m} intervals in {len(log)} epochs "
         f"(best val loss {best:.6f}) -> {cfg['out']}"
     )
-    untrained = LOSSES[method](net_.forward(net, val_s.covariates), val_labels).value
+    untrained = LOSSES[method](net_.forward(net, val_s.covariates), val_labels, grad=False).value
     if not best < untrained:
         print(
             f"warning: best val loss {best:.6f} is not below the untrained network's "

@@ -87,12 +87,52 @@ def _parse_number(raw: str, row: int, column: str, path) -> float:
         ) from None
 
 
+def _parse_plain(fh, n_cols: int, d_pos: int, e_pos: int):
+    """The data rows of a file of plain numbers via ``np.loadtxt``, else None.
+
+    ``fh`` is a file opened with ``newline=""`` and read just past the header,
+    so its lines are the rows ``csv`` reads. The fast path takes only ASCII
+    lines without quotes or blank lines, at least one of them; the arrays
+    must then hold one row per line and ``n_cols`` columns, with finite
+    nonnegative durations and events 0 or 1. Anything else is left to the
+    row parser, which words the error. ``loadtxt`` parses a number as
+    ``float`` does, so the arrays are the row parser's bit for bit.
+    """
+    n_rows = 0
+    try:
+        for line in fh:
+            if line in ("\n", "\r\n", "\r") or not line.isascii() or '"' in line:
+                return None
+            n_rows += 1
+    except UnicodeDecodeError:
+        return None
+    if n_rows == 0:
+        return None
+    fh.seek(0)
+    next(csv.reader(fh))
+    try:
+        data = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None)
+    except ValueError:
+        return None
+    durations, events = data[:, d_pos], data[:, e_pos]
+    if (
+        data.shape != (n_rows, n_cols)
+        or not np.isfinite(durations).all()
+        or (durations < 0).any()
+        or not np.isin(events, (0.0, 1.0)).all()
+    ):
+        return None
+    return data
+
+
 def load_csv(path, duration_col: str = "duration", event_col: str = "event") -> SurvivalDataset:
     """Read a dataset from a comma-separated file with a header row.
 
     The duration and event columns are resolved by name; every remaining
     column becomes a covariate, in header order. Data rows are numbered from 1
-    (the header is row 0) in error messages.
+    (the header is row 0) in error messages. Files of plain numbers are parsed
+    in one ``np.loadtxt`` call; any other file, and any file with a value the
+    row checks reject, goes through the row parser, with the same result.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -107,6 +147,14 @@ def load_csv(path, duration_col: str = "duration", event_col: str = "event") -> 
         e_pos = header.index(event_col)
         cov_pos = [i for i in range(len(header)) if i not in (d_pos, e_pos)]
         cov_names = [header[i] for i in cov_pos]
+        data = _parse_plain(fh, len(header), d_pos, e_pos)
+        if data is not None:
+            # row-major like the row parser's, so matmuls see the same layout
+            covariates = np.ascontiguousarray(data[:, cov_pos])
+            return SurvivalDataset(data[:, d_pos], data[:, e_pos], covariates, cov_names)
+        fh.seek(0)
+        reader = csv.reader(fh)
+        next(reader)
         durations, events, rows = [], [], []
         for rownum, row in enumerate(reader, start=1):
             if len(row) != len(header):

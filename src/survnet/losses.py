@@ -5,6 +5,14 @@ returns the batch-mean negative log-likelihood together with its gradient with
 respect to those outputs. All three are written so they stay finite wherever
 the underlying likelihood is positive, even for extreme inputs where direct
 transcriptions of the formulas overflow or take log of zero.
+
+The kernels work in place on a few batch-sized arrays and skip the entries
+the likelihood does not read, yet every entry they keep is computed with the
+same operations in the same order as a direct transcription, so values and
+gradients are reproducible bit for bit. A non-finite logit anywhere in the
+batch still yields a non-finite loss, as it would if every entry were
+computed. ``grad=False`` asks for the value alone (validation passes, the
+untrained-network check) and returns ``grad=None``.
 """
 
 from __future__ import annotations
@@ -26,10 +34,16 @@ MIN_EVENT_FRAC = 1e-7
 
 
 def sigmoid(x, z=None):
-    """Logistic function, safe for arbitrarily large |x|; z is exp(-|x|) if given."""
+    """Logistic function, safe for arbitrarily large |x|; z is exp(-|x|) if given.
+
+    The numerator exp(min(x, 0)) is z for negative x and 1 otherwise, so this
+    is z / (1 + z) or 1 / (1 + z) per element without a branch on the sign.
+    """
     x = np.asarray(x, dtype=float)
     z = np.exp(-np.abs(x)) if z is None else z
-    return np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
+    num = np.minimum(x, 0.0, out=np.empty_like(x))
+    np.exp(num, out=num)
+    return np.divide(num, 1.0 + z, out=num)
 
 
 def softplus(x):
@@ -46,10 +60,13 @@ def log_softplus(x):
 
 @dataclass(frozen=True)
 class LossOutput:
-    """Batch-mean loss and its gradient with respect to the network outputs."""
+    """Batch-mean loss and its gradient with respect to the network outputs.
+
+    ``grad`` is None when the loss was asked for its value alone.
+    """
 
     value: float
-    grad: np.ndarray
+    grad: np.ndarray | None
 
 
 def _check_batch(logits, labels: DiscreteLabels, name: str):
@@ -64,29 +81,39 @@ def _check_batch(logits, labels: DiscreteLabels, name: str):
     return logits, n, m
 
 
-def nll_logistic_hazard(logits, labels: DiscreteLabels) -> LossOutput:
+def nll_logistic_hazard(logits, labels: DiscreteLabels, grad: bool = True) -> LossOutput:
     """Bernoulli negative log-likelihood of discrete hazards.
 
     Record i contributes one binary cross-entropy term per interval up to and
     including its label index; the target is 1 only at the index of an
     observed event. Each term is computed from the logit z directly as
     max(z, 0) - z*y + log(1 + exp(-|z|)), which never forms probabilities 0
-    or 1.
+    or 1. The target is subtracted only where it is 1.
     """
     logits, n, m = _check_batch(logits, labels, "nll_logistic_hazard")
     idx = labels.idx
-    target = np.zeros_like(logits)
     ev = np.nonzero(labels.event == 1)[0]
-    target[ev, idx[ev] - 1] = 1.0
+    ev_col = idx[ev] - 1
     active = np.arange(m)[None, :] < idx[:, None]
     z = np.exp(-np.abs(logits))
-    terms = np.maximum(logits, 0.0) - logits * target + np.log1p(z)
-    value = float((terms * active).sum() / n)
-    grad = (sigmoid(logits, z) - target) * active / n
-    return LossOutput(value, grad)
+    terms = np.maximum(logits, 0.0)
+    terms[ev, ev_col] -= logits[ev, ev_col]
+    terms += np.log1p(z)
+    terms *= active
+    value = float(terms.sum() / n)
+    # a non-finite logit anywhere, read or not, must stop a fit
+    if not np.isfinite(logits).all():
+        value = np.nan
+    if not grad:
+        return LossOutput(value, None)
+    g = sigmoid(logits, z)
+    g[ev, ev_col] -= 1.0
+    g *= active
+    g /= n
+    return LossOutput(value, g)
 
 
-def nll_pmf(logits, labels: DiscreteLabels) -> LossOutput:
+def nll_pmf(logits, labels: DiscreteLabels, grad: bool = True) -> LossOutput:
     """Negative log-likelihood of the interval-probability parametrization.
 
     The outputs are softmax logits over the m event intervals plus an implicit
@@ -106,33 +133,40 @@ def nll_pmf(logits, labels: DiscreteLabels) -> LossOutput:
     lse_all = gamma[:, 0] + np.log(denom)
 
     # Tail classes start right after the label index; the final class is
-    # always included, so the tail maximum is finite (at least 0).
+    # always included, so the tail maximum is finite (at least 0). Entries
+    # outside the tail are exp(-inf) = 0.
     tail_mask = np.arange(m + 1)[None, :] >= idx[:, None]
-    masked = np.where(tail_mask, padded, -np.inf)
-    tail_max = masked.max(axis=1, keepdims=True)
-    zt = np.exp(masked - tail_max)
+    zt = np.where(tail_mask, padded, -np.inf)
+    tail_max = zt.max(axis=1, keepdims=True)
+    zt -= tail_max
+    np.exp(zt, out=zt)
     tail_sum = zt.sum(axis=1)
     lse_tail = tail_max[:, 0] + np.log(tail_sum)
 
     rows = np.arange(n)
     event_logit = np.where(event == 1, padded[rows, np.maximum(idx, 1) - 1], 0.0)
     value = float(np.mean(-event * event_logit + lse_all - (1 - event) * lse_tail))
+    if not grad:
+        return LossOutput(value, None)
 
-    sigma = z / denom[:, None]
-    w_tail = zt / tail_sum[:, None]
-    grad_full = sigma - (1 - event)[:, None] * w_tail
+    z /= denom[:, None]
+    zt /= tail_sum[:, None]
+    zt *= (1 - event)[:, None]
+    z -= zt
     ev = np.nonzero(event == 1)[0]
-    grad_full[ev, idx[ev] - 1] -= 1.0
-    return LossOutput(value, grad_full[:, :m] / n)
+    z[ev, idx[ev] - 1] -= 1.0
+    return LossOutput(value, z[:, :m] / n)
 
 
-def nll_pc_hazard(logits, labels: DiscreteLabels) -> LossOutput:
+def nll_pc_hazard(logits, labels: DiscreteLabels, grad: bool = True) -> LossOutput:
     """Negative log-likelihood of the piecewise-constant hazard method.
 
     Softplus maps each output to the nonnegative hazard mass of its interval.
     A record pays the full mass of every interval before its own and a
     fraction of its own interval's mass; an observed event earns the log of
     its interval's mass, evaluated through the stabilized log-softplus.
+    Softplus is computed only for the intervals before each record's own and
+    for its own interval.
     """
     logits, n, m = _check_batch(logits, labels, "nll_pc_hazard")
     idx = labels.idx
@@ -146,26 +180,34 @@ def nll_pc_hazard(logits, labels: DiscreteLabels) -> LossOutput:
         )
     frac = np.where((event == 1) & (frac <= 0.0), MIN_EVENT_FRAC, frac)
 
-    eta = softplus(logits)
-    sig = sigmoid(logits)
     before = np.arange(m)[None, :] < (idx - 1)[:, None]
+    eta = np.zeros((n, m))
+    np.logaddexp(0.0, logits, out=eta, where=before)
     rows = np.arange(n)
     own_col = np.maximum(idx, 1) - 1
     at = idx >= 1
     z_own = logits[rows, own_col]
-    eta_own = np.where(at, eta[rows, own_col], 0.0)
+    eta_own = np.where(at, softplus(z_own), 0.0)
     log_eta_own = log_softplus(z_own)
     value_i = -event * np.where(at, log_eta_own, 0.0) + eta_own * np.where(at, frac, 0.0)
-    value_i = value_i + (eta * before).sum(axis=1)
+    value_i = value_i + eta.sum(axis=1)
     value = float(value_i.mean())
+    # +inf or nan after a record's own interval is not read above but must
+    # stop a fit; -inf there adds a softplus of exactly 0
+    if not (logits < np.inf).all():
+        value = np.nan
+    if not grad:
+        return LossOutput(value, None)
 
-    grad = sig * before
+    sig = sigmoid(logits)
     s_own = sig[rows, own_col]
+    sig *= before
     # d log(softplus(z)) / dz = sigmoid(z) / softplus(z) -> 1 as z -> -inf
     dlog = np.where(z_own < -30.0, 1.0, s_own / np.maximum(eta_own, 1e-300))
     own_grad = np.where(at, -event * dlog + frac * s_own, 0.0)
-    grad[rows, own_col] += own_grad
-    return LossOutput(value, grad / n)
+    sig[rows, own_col] += own_grad
+    sig /= n
+    return LossOutput(value, sig)
 
 
 def cumsum_head(scores):

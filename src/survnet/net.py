@@ -10,6 +10,15 @@ During training all weights, then all biases, live in one flat float64
 buffer; the network is built once over row-major views of it and the Adam
 moments are flat arrays of the same length, so one step is a few vectorized
 lines doing per element what a per-array update would.
+
+Every pass runs in a workspace: preallocated pre-activations, activations,
+dropout masks, deltas and a flat gradient laid out like the parameters. A
+fit allocates one for its batch size and one for its validation rows and
+then allocates nothing per step; the forward matmuls, dropout draws,
+backward passes and the Adam update write into those buffers with the same
+operations, in the same order, as the allocating formulas they replace. A
+pass called without a workspace allocates one for itself and runs the same
+code. Validation losses are asked for their value alone.
 """
 
 from __future__ import annotations
@@ -69,7 +78,52 @@ def init_mlp(widths, dropout: float = 0.0, seed: int = 0) -> Mlp:
     return Mlp(tuple(ws), tuple(bs), dropout)
 
 
-def _forward_cached(net: Mlp, x, training: bool, rng):
+def _param_views(buffer, widths):
+    """Row-major weight views, then bias views, over one flat buffer."""
+    shapes = [*zip(widths[:-1], widths[1:]), *((w,) for w in widths[1:])]
+    views, start = [], 0
+    for shape in shapes:
+        size = int(np.prod(shape))
+        views.append(buffer[start : start + size].reshape(shape))
+        start += size
+    n_layers = len(widths) - 1
+    return tuple(views[:n_layers]), tuple(views[n_layers:])
+
+
+class _Workspace:
+    """Buffers for passes of up to ``rows`` rows through networks of ``widths``.
+
+    A forward pass writes its pre-activations, activations and dropout masks
+    into leading-row views of these; a backward pass writes its deltas and
+    its gradient, laid out as one flat buffer like the training parameters
+    (all weights, then all biases). Masks and backward buffers are allocated
+    on first use, so an evaluation-only workspace holds only what a forward
+    pass writes.
+    """
+
+    def __init__(self, widths, rows: int):
+        self.widths, self.rows = tuple(widths), rows
+        self.zs = [np.empty((rows, w)) for w in self.widths[1:]]
+        self.acts = [np.empty((rows, w)) for w in self.widths[1:-1]]
+        self.masks = [None] * len(self.acts)
+        self.grad = None
+
+    def mask(self, layer: int):
+        if self.masks[layer] is None:
+            self.masks[layer] = np.empty_like(self.acts[layer])
+        return self.masks[layer]
+
+    def gradient(self):
+        """Weight and bias views of the flat gradient, allocated with the deltas once."""
+        if self.grad is None:
+            widths = self.widths
+            self.grad = np.empty(sum(a * b + b for a, b in zip(widths[:-1], widths[1:])))
+            self.grads = _param_views(self.grad, widths)
+            self.deltas = [np.empty_like(a) for a in self.acts]
+        return self.grads
+
+
+def _forward_cached(net: Mlp, x, training: bool, rng, workspace=None):
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if x.shape[1] != net.widths[0]:
         raise ValidationError(
@@ -78,26 +132,30 @@ def _forward_cached(net: Mlp, x, training: bool, rng):
     use_dropout = training and net.dropout > 0.0
     if use_dropout and rng is None:
         raise ValidationError("training-mode forward with dropout needs an rng")
+    rows = x.shape[0]
+    work = _Workspace(net.widths, rows) if workspace is None else workspace
     n_layers = len(net.weights)
     acts = [x]
     zs = []
     masks = [None]
     a = x
     for layer, (w, b) in enumerate(zip(net.weights, net.biases)):
-        z = a @ w + b
+        z = np.matmul(a, w, out=work.zs[layer][:rows])
+        z += b
         zs.append(z)
         if layer < n_layers - 1:
-            a = np.maximum(z, 0.0)
+            a = np.maximum(z, 0.0, out=work.acts[layer][:rows])
             mask = None
             if use_dropout:
                 keep = 1.0 - net.dropout
-                mask = (rng.random(a.shape) < keep) / keep
-                a = a * mask
+                # the same stream as rng.random(a.shape); kept entries are 1 / keep
+                mask = rng.random(out=work.mask(layer)[:rows])
+                np.less(mask, keep, out=mask)
+                mask /= keep
+                a *= mask
             acts.append(a)
             masks.append(mask)
-        else:
-            a = z
-    return a, (acts, zs, masks)
+    return z, (acts, zs, masks, work)
 
 
 def forward(net: Mlp, x, training: bool = False, rng=None):
@@ -107,21 +165,25 @@ def forward(net: Mlp, x, training: bool = False, rng=None):
 
 
 def backward(net: Mlp, cache, grad_out):
-    """Parameter gradients given the gradient at the outputs."""
-    acts, zs, masks = cache
-    n_layers = len(net.weights)
-    grads_w = [None] * n_layers
-    grads_b = [None] * n_layers
+    """Parameter gradients given the gradient at the outputs.
+
+    They are written into the flat gradient buffer of the forward pass's
+    workspace and returned as its per-array views.
+    """
+    acts, zs, masks, work = cache
+    grads_w, grads_b = work.gradient()
     delta = np.asarray(grad_out, dtype=float)
-    for layer in range(n_layers - 1, -1, -1):
-        grads_w[layer] = acts[layer].T @ delta
-        grads_b[layer] = delta.sum(axis=0)
+    rows = delta.shape[0]
+    for layer in range(len(net.weights) - 1, -1, -1):
+        np.matmul(acts[layer].T, delta, out=grads_w[layer])
+        np.sum(delta, axis=0, out=grads_b[layer])
         if layer > 0:
-            da = delta @ net.weights[layer].T
+            da = np.matmul(delta, net.weights[layer].T, out=work.deltas[layer - 1][:rows])
             if masks[layer] is not None:
-                da = da * masks[layer]
-            delta = da * (zs[layer - 1] > 0)
-    return grads_w, grads_b
+                da *= masks[layer]
+            da *= zs[layer - 1] > 0
+            delta = da
+    return list(grads_w), list(grads_b)
 
 
 @dataclass(frozen=True)
@@ -176,31 +238,36 @@ def fit(net: Mlp, loss_fn, train_x, train_labels, val_x, val_labels, cfg: TrainC
     stops early once the validation loss has not improved for more than
     ``patience`` epochs. Shuffling and dropout draw from one generator seeded
     by the config, so a config fully determines the result. The input network
-    is left untouched and the returned one owns its own buffer.
+    is left untouched and the returned one owns its own buffer. ``loss_fn``
+    must accept ``grad=False``, which the validation pass uses.
     """
     train_x = np.atleast_2d(np.asarray(train_x, dtype=float))
     val_x = np.atleast_2d(np.asarray(val_x, dtype=float))
     if len(train_labels) != train_x.shape[0] or len(val_labels) != val_x.shape[0]:
         raise ValidationError("label counts must match the covariate rows")
     rng = np.random.default_rng(cfg.seed)
-    n_w = len(net.weights)
-    params = (*net.weights, *net.biases)
-    theta = np.concatenate(params, axis=None, dtype=float)
-    splits = np.cumsum([p.size for p in params])[:-1]
+    widths = net.widths
+    theta = np.concatenate((*net.weights, *net.biases), axis=None, dtype=float)
 
     def over(buffer) -> Mlp:
-        views = [v.reshape(p.shape) for v, p in zip(np.split(buffer, splits), params)]
-        return Mlp(tuple(views[:n_w]), tuple(views[n_w:]), net.dropout)
+        return Mlp(*_param_views(buffer, widths), net.dropout)
 
     model = over(theta)
+    n = train_x.shape[0]
+    work = _Workspace(widths, min(cfg.batch_size, n))
+    val_work = _Workspace(widths, val_x.shape[0])
+    x_batch = np.empty((work.rows, widths[0]))
+    work.gradient()
+    grad = work.grad
     moment1 = np.zeros_like(theta)
     moment2 = np.zeros_like(theta)
+    scratch1 = np.empty_like(theta)
+    scratch2 = np.empty_like(theta)
     step = 0
     best_val = np.inf
     best_theta = theta.copy()
     bad_epochs = 0
     log = []
-    n = train_x.shape[0]
     n_batches = max(1, int(np.ceil(n / cfg.batch_size)))
 
     for epoch in range(cfg.max_epochs):
@@ -208,26 +275,40 @@ def fit(net: Mlp, loss_fn, train_x, train_labels, val_x, val_labels, cfg: TrainC
         batch_losses = []
         for b in range(n_batches):
             sel = perm[b * cfg.batch_size : (b + 1) * cfg.batch_size]
-            out, cache = _forward_cached(model, train_x[sel], training=True, rng=rng)
+            xb = np.take(train_x, sel, axis=0, out=x_batch[: sel.size])
+            out, cache = _forward_cached(model, xb, training=True, rng=rng, workspace=work)
             result = loss_fn(out, train_labels.take(sel))
             if not np.isfinite(result.value):
                 raise NumericalError(
                     f"non-finite training loss in epoch {epoch}, batch {b}"
                 )
-            grads_w, grads_b = backward(model, cache, result.grad)
-            grad = np.concatenate([*grads_w, *grads_b], axis=None)
+            backward(model, cache, result.grad)
             lr = learning_rate_at(cfg, epoch + b / n_batches)
             step += 1
             c1 = 1.0 - ADAM_BETA1**step
             c2 = 1.0 - ADAM_BETA2**step
-            moment1 += (1.0 - ADAM_BETA1) * (grad - moment1)
-            moment2 += (1.0 - ADAM_BETA2) * (grad * grad - moment2)
-            theta -= lr * (moment1 / c1) / (np.sqrt(moment2 / c2) + ADAM_EPS)
+            # Adam in place, the same operations in the same order as
+            # m1 += (1 - b1) * (g - m1); m2 += (1 - b2) * (g * g - m2);
+            # theta -= lr * (m1 / c1) / (sqrt(m2 / c2) + eps)
+            np.subtract(grad, moment1, out=scratch1)
+            scratch1 *= 1.0 - ADAM_BETA1
+            moment1 += scratch1
+            np.multiply(grad, grad, out=scratch1)
+            scratch1 -= moment2
+            scratch1 *= 1.0 - ADAM_BETA2
+            moment2 += scratch1
+            np.divide(moment2, c2, out=scratch1)
+            np.sqrt(scratch1, out=scratch1)
+            scratch1 += ADAM_EPS
+            np.divide(moment1, c1, out=scratch2)
+            scratch2 *= lr
+            scratch2 /= scratch1
+            theta -= scratch2
             if cfg.weight_decay > 0:
-                theta -= lr * cfg.weight_decay * theta
+                theta -= np.multiply(theta, lr * cfg.weight_decay, out=scratch1)
             batch_losses.append(result.value)
-        val_out = forward(model, val_x, training=False)
-        val_loss = loss_fn(val_out, val_labels).value
+        val_out, _ = _forward_cached(model, val_x, training=False, rng=None, workspace=val_work)
+        val_loss = loss_fn(val_out, val_labels, grad=False).value
         if not np.isfinite(val_loss):
             raise NumericalError(f"non-finite validation loss in epoch {epoch}")
         log.append(
@@ -240,7 +321,7 @@ def fit(net: Mlp, loss_fn, train_x, train_labels, val_x, val_labels, cfg: TrainC
         )
         if val_loss < best_val:
             best_val = val_loss
-            best_theta = theta.copy()
+            np.copyto(best_theta, theta)
             bad_epochs = 0
         else:
             bad_epochs += 1

@@ -12,11 +12,21 @@ reading that rebuilds its table and allocates every temporary on each call,
 which uses the library's interval lookup; and ``calibrate_censor_hazard``,
 the bisection that fixed the simulator's default censoring hazard by running
 the simulator.
+
+The ``verbatim_*`` functions are the library's allocating kernels copied
+unchanged apart from their names: ``verbatim_sigmoid``,
+``verbatim_nll_logistic_hazard``, ``verbatim_nll_pmf``,
+``verbatim_nll_pc_hazard``, ``verbatim_forward_cached`` and
+``verbatim_backward``, as they stood before the training workspace and the
+lean loss kernels. The in-place kernels are held to them bit for bit.
 """
 
+from collections import namedtuple
 from fractions import Fraction
 
 import numpy as np
+
+from survnet.errors import ValidationError
 
 
 def km_product_limit(durations, events):
@@ -284,6 +294,201 @@ def pc_hazard_nll_naive(logits, idx, event, frac):
         term = event[i] * np.log(eta[k - 1]) - eta[k - 1] * frac[i] - eta[: k - 1].sum()
         total -= term
     return total / n
+
+
+# -- Verbatim copies of the allocating kernels that the in-place ones replace.
+# They are the kernels as they stood before the training workspace and the
+# lean losses, unchanged apart from their names, so the bit-exactness tests
+# compare against the formulas themselves rather than a restatement of the
+# new code.
+
+_VERBATIM_LOG_SOFTPLUS_CUTOFF = -15.0
+_VERBATIM_MIN_EVENT_FRAC = 1e-7
+VerbatimLossOutput = namedtuple("VerbatimLossOutput", "value grad")
+
+
+def verbatim_sigmoid(x, z=None):
+    """Logistic function, safe for arbitrarily large |x|; z is exp(-|x|) if given."""
+    x = np.asarray(x, dtype=float)
+    z = np.exp(-np.abs(x)) if z is None else z
+    return np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
+
+
+def _verbatim_softplus(x):
+    """log(1 + exp(x)) without overflow."""
+    return np.logaddexp(0.0, np.asarray(x, dtype=float))
+
+
+def _verbatim_log_softplus(x):
+    """log(log(1 + exp(x))), linear in x for very negative x."""
+    x = np.asarray(x, dtype=float)
+    safe = np.maximum(x, _VERBATIM_LOG_SOFTPLUS_CUTOFF)
+    return np.where(x < _VERBATIM_LOG_SOFTPLUS_CUTOFF, x, np.log(_verbatim_softplus(safe)))
+
+
+def _verbatim_check_batch(logits, labels, name: str):
+    logits = np.asarray(logits, dtype=float)
+    if logits.ndim != 2:
+        raise ValidationError(f"{name}: logits must be 2-d (batch, intervals)")
+    n, m = logits.shape
+    if len(labels) != n:
+        raise ValidationError(f"{name}: {len(labels)} labels for a batch of {n}")
+    if np.any(labels.idx > m):
+        raise ValidationError(f"{name}: interval index exceeds the output width {m}")
+    return logits, n, m
+
+
+def verbatim_nll_logistic_hazard(logits, labels) -> VerbatimLossOutput:
+    """Bernoulli negative log-likelihood of discrete hazards.
+
+    Record i contributes one binary cross-entropy term per interval up to and
+    including its label index; the target is 1 only at the index of an
+    observed event. Each term is computed from the logit z directly as
+    max(z, 0) - z*y + log(1 + exp(-|z|)), which never forms probabilities 0
+    or 1.
+    """
+    logits, n, m = _verbatim_check_batch(logits, labels, "nll_logistic_hazard")
+    idx = labels.idx
+    target = np.zeros_like(logits)
+    ev = np.nonzero(labels.event == 1)[0]
+    target[ev, idx[ev] - 1] = 1.0
+    active = np.arange(m)[None, :] < idx[:, None]
+    z = np.exp(-np.abs(logits))
+    terms = np.maximum(logits, 0.0) - logits * target + np.log1p(z)
+    value = float((terms * active).sum() / n)
+    grad = (verbatim_sigmoid(logits, z) - target) * active / n
+    return VerbatimLossOutput(value, grad)
+
+
+def verbatim_nll_pmf(logits, labels) -> VerbatimLossOutput:
+    """Negative log-likelihood of the interval-probability parametrization.
+
+    The outputs are softmax logits over the m event intervals plus an implicit
+    final class, fixed at logit 0, for surviving past the grid. An observed
+    event scores the probability of its interval; a censoring scores the
+    summed tail from the next interval through the final class. Exponentials
+    are centred on the row maximum (and again on the tail maximum for the
+    censoring term) so only non-positive numbers are exponentiated.
+    """
+    logits, n, m = _verbatim_check_batch(logits, labels, "nll_pmf")
+    idx = labels.idx
+    event = labels.event
+    padded = np.concatenate([logits, np.zeros((n, 1))], axis=1)
+    gamma = padded.max(axis=1, keepdims=True)
+    z = np.exp(padded - gamma)
+    denom = z.sum(axis=1)
+    lse_all = gamma[:, 0] + np.log(denom)
+
+    # Tail classes start right after the label index; the final class is
+    # always included, so the tail maximum is finite (at least 0).
+    tail_mask = np.arange(m + 1)[None, :] >= idx[:, None]
+    masked = np.where(tail_mask, padded, -np.inf)
+    tail_max = masked.max(axis=1, keepdims=True)
+    zt = np.exp(masked - tail_max)
+    tail_sum = zt.sum(axis=1)
+    lse_tail = tail_max[:, 0] + np.log(tail_sum)
+
+    rows = np.arange(n)
+    event_logit = np.where(event == 1, padded[rows, np.maximum(idx, 1) - 1], 0.0)
+    value = float(np.mean(-event * event_logit + lse_all - (1 - event) * lse_tail))
+
+    sigma = z / denom[:, None]
+    w_tail = zt / tail_sum[:, None]
+    grad_full = sigma - (1 - event)[:, None] * w_tail
+    ev = np.nonzero(event == 1)[0]
+    grad_full[ev, idx[ev] - 1] -= 1.0
+    return VerbatimLossOutput(value, grad_full[:, :m] / n)
+
+
+def verbatim_nll_pc_hazard(logits, labels) -> VerbatimLossOutput:
+    """Negative log-likelihood of the piecewise-constant hazard method.
+
+    Softplus maps each output to the nonnegative hazard mass of its interval.
+    A record pays the full mass of every interval before its own and a
+    fraction of its own interval's mass; an observed event earns the log of
+    its interval's mass, evaluated through the stabilized log-softplus.
+    """
+    logits, n, m = _verbatim_check_batch(logits, labels, "nll_pc_hazard")
+    idx = labels.idx
+    event = labels.event
+    frac = labels.frac
+    bad = (idx < 1) & ((event == 1) | (frac > 0))
+    if np.any(bad):
+        raise ValidationError(
+            "nll_pc_hazard: records with an event or positive fraction need "
+            "interval index >= 1"
+        )
+    frac = np.where((event == 1) & (frac <= 0.0), _VERBATIM_MIN_EVENT_FRAC, frac)
+
+    eta = _verbatim_softplus(logits)
+    sig = verbatim_sigmoid(logits)
+    before = np.arange(m)[None, :] < (idx - 1)[:, None]
+    rows = np.arange(n)
+    own_col = np.maximum(idx, 1) - 1
+    at = idx >= 1
+    z_own = logits[rows, own_col]
+    eta_own = np.where(at, eta[rows, own_col], 0.0)
+    log_eta_own = _verbatim_log_softplus(z_own)
+    value_i = -event * np.where(at, log_eta_own, 0.0) + eta_own * np.where(at, frac, 0.0)
+    value_i = value_i + (eta * before).sum(axis=1)
+    value = float(value_i.mean())
+
+    grad = sig * before
+    s_own = sig[rows, own_col]
+    # d log(softplus(z)) / dz = sigmoid(z) / softplus(z) -> 1 as z -> -inf
+    dlog = np.where(z_own < -30.0, 1.0, s_own / np.maximum(eta_own, 1e-300))
+    own_grad = np.where(at, -event * dlog + frac * s_own, 0.0)
+    grad[rows, own_col] += own_grad
+    return VerbatimLossOutput(value, grad / n)
+
+
+def verbatim_forward_cached(net, x, training: bool, rng):
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    if x.shape[1] != net.widths[0]:
+        raise ValidationError(
+            f"input has {x.shape[1]} columns, network expects {net.widths[0]}"
+        )
+    use_dropout = training and net.dropout > 0.0
+    if use_dropout and rng is None:
+        raise ValidationError("training-mode forward with dropout needs an rng")
+    n_layers = len(net.weights)
+    acts = [x]
+    zs = []
+    masks = [None]
+    a = x
+    for layer, (w, b) in enumerate(zip(net.weights, net.biases)):
+        z = a @ w + b
+        zs.append(z)
+        if layer < n_layers - 1:
+            a = np.maximum(z, 0.0)
+            mask = None
+            if use_dropout:
+                keep = 1.0 - net.dropout
+                mask = (rng.random(a.shape) < keep) / keep
+                a = a * mask
+            acts.append(a)
+            masks.append(mask)
+        else:
+            a = z
+    return a, (acts, zs, masks)
+
+
+def verbatim_backward(net, cache, grad_out):
+    """Parameter gradients given the gradient at the outputs."""
+    acts, zs, masks = cache
+    n_layers = len(net.weights)
+    grads_w = [None] * n_layers
+    grads_b = [None] * n_layers
+    delta = np.asarray(grad_out, dtype=float)
+    for layer in range(n_layers - 1, -1, -1):
+        grads_w[layer] = acts[layer].T @ delta
+        grads_b[layer] = delta.sum(axis=0)
+        if layer > 0:
+            da = delta @ net.weights[layer].T
+            if masks[layer] is not None:
+                da = da * masks[layer]
+            delta = da * (zs[layer - 1] > 0)
+    return grads_w, grads_b
 
 
 def reference_fit(net, loss_fn, train_x, train_labels, val_x, val_labels, cfg):

@@ -2,10 +2,10 @@ import csv
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from survnet import sim
+from survnet import dataset, sim
 from survnet.dataset import (
     SurvivalDataset,
     fit_standardizer,
@@ -93,6 +93,79 @@ class TestLoadCsv:
                 )
         assert path.read_bytes() == expected.read_bytes()
         assert path.read_bytes().startswith(b'duration,event,"a,b","quote""d"\r\n')
+
+
+# Edits that push a file off the fast path or into an error: quotes, blank
+# and stray line breaks, a byte-order mark, the control characters only
+# str.splitlines breaks on, numbers float() reads but loadtxt may not.
+GARBLE = [
+    ",", '"', "\n", "\r\n", "\r", "\n\n", " ", "\t", "x", "-", "+", "e", ".", "",
+    "nan", "inf", "-inf", "1e999", "1_0", "0x1", "\ufeff", "\x0c", "\x0b", "\x1c",
+    "\x00", "\u2028", "\u0661",
+]
+NUMBERS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.5, 1e-300, 1e16, 1 / 3, 5e-324]),
+    st.floats(0.0, 100.0),
+)
+
+
+@st.composite
+def csv_texts(draw):
+    n, p = draw(st.integers(1, 5)), draw(st.integers(0, 3))
+    lines = [",".join(["duration", "event", *(f"x{j}" for j in range(p))])]
+    for _ in range(n):
+        row = [draw(NUMBERS), draw(st.sampled_from([0, 1, 1.0])),
+               *(draw(st.floats(-1e6, 1e6)) for _ in range(p))]
+        lines.append(",".join(map(repr, row)))
+    text = draw(st.sampled_from(["\n", "\r\n"])).join(lines) + draw(st.sampled_from(["\n", ""]))
+    edits = draw(st.lists(
+        st.tuples(st.integers(0, 10**6), st.sampled_from(GARBLE), st.integers(0, 3)), max_size=3
+    ))
+    for pos, piece, cut in edits:
+        pos %= len(text) + 1
+        text = text[:pos] + piece + text[pos + cut :]
+    return text, not edits
+
+
+def load_outcome(path):
+    try:
+        data = load_csv(path)
+    except Exception as exc:  # noqa: BLE001 - the outcome is compared, not handled
+        return type(exc), str(exc)
+    arrays = (data.durations, data.events, data.covariates)
+    layout = tuple((a.shape, a.dtype, a.flags.c_contiguous) for a in arrays)
+    return tuple(a.tobytes() for a in arrays), layout, data.covariate_names
+
+
+class TestLoadCsvFastPath:
+    @settings(max_examples=150)
+    @given(case=csv_texts())
+    # every row one field short of, or one beyond, the header; a line of
+    # spaces; no data rows
+    @example(case=("duration,event,x0,\n1.0,1,0.5\n2.0,0,0.1\n", False))
+    @example(case=("duration,event\n1.0,1,0.5\n", False))
+    @example(case=("duration,event,x0\n1.0,1,0.5\n   \n", False))
+    @example(case=("duration,event,x0\n", False))
+    def test_fast_path_equals_the_row_parser(self, tmp_path_factory, case):
+        text, plain = case
+        path = tmp_path_factory.getbasetemp() / "garbled.csv"
+        path.write_bytes(text.encode("utf-8"))
+        fast = load_outcome(path)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dataset, "_parse_plain", lambda *args: None)
+            slow = load_outcome(path)
+        assert fast == slow
+        if plain:
+            # an untouched file of plain numbers takes the fast path
+            with open(path, newline="") as fh:
+                header = next(csv.reader(fh))
+                assert dataset._parse_plain(fh, len(header), 0, 1) is not None
+
+    def test_undecodable_bytes_raise_as_before(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"duration,event,x0\n1.0,1,0.5\n2.0,0,\xff\n")
+        with pytest.raises(UnicodeDecodeError):
+            load_csv(path)
 
 
 class TestStandardizer:

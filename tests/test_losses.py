@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from survnet.errors import ValidationError
 from survnet.grid import DiscreteLabels, TimeGrid, continuous_labels
@@ -19,6 +21,10 @@ from oracles import (
     mtlr_nll,
     pc_hazard_nll_naive,
     pmf_nll_naive,
+    verbatim_nll_logistic_hazard,
+    verbatim_nll_pc_hazard,
+    verbatim_nll_pmf,
+    verbatim_sigmoid,
 )
 
 
@@ -290,3 +296,84 @@ class TestNumericHelpers:
     def test_log_softplus_switch_point_continuity(self):
         below, above = log_softplus(-15.0 - 1e-9), log_softplus(-15.0 + 1e-9)
         assert abs(below - above) < 1e-6
+
+
+# Logits at the edges of every branch: overflow of exp, signed zeros, a
+# subnormal, both sides of log_softplus's cutoff and of the z < -30 switch.
+EXTREME_LOGITS = [
+    800.0, -800.0, 0.0, -0.0, 1e-300, -1e-300, 745.0, -745.0, 50.0, -50.0,
+    -15.0, -15.000001, -14.999999, -30.0, -30.000001, -29.999999, -40.0,
+]
+PAIRS = [
+    (nll_logistic_hazard, verbatim_nll_logistic_hazard),
+    (nll_pmf, verbatim_nll_pmf),
+    (nll_pc_hazard, verbatim_nll_pc_hazard),
+]
+PAIR_IDS = ["lh", "pmf", "pc"]
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@st.composite
+def loss_batches(draw):
+    """Logits with extremes mixed in; index-0 censorings and zero fractions."""
+    n, m = draw(st.integers(1, 8)), draw(st.integers(1, 6))
+    values = st.one_of(st.sampled_from(EXTREME_LOGITS), st.floats(-60.0, 60.0))
+    logits = np.array(draw(st.lists(values, min_size=n * m, max_size=n * m)))
+    idx = np.array(draw(st.lists(st.integers(0, m), min_size=n, max_size=n)))
+    event = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    fracs = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+    frac = np.array(draw(st.lists(fracs, min_size=n, max_size=n)))
+    at = idx >= 1
+    return logits.reshape(n, m), DiscreteLabels(idx, event * at, frac * at)
+
+
+class TestVerbatimKernels:
+    """The lean kernels against tests/oracles.py's copies of the allocating ones."""
+
+    @pytest.mark.parametrize("new,old", PAIRS, ids=PAIR_IDS)
+    @settings(max_examples=60)
+    @given(batch=loss_batches())
+    def test_value_and_gradient_bit_identical(self, new, old, batch):
+        logits, labels = batch
+        want = old(logits, labels)
+        got = new(logits, labels)
+        value_only = new(logits, labels, grad=False)
+        assert np.isfinite(want.value)
+        assert same_bits(got.value, want.value)
+        assert same_bits(got.grad, want.grad)
+        assert same_bits(value_only.value, want.value)
+        assert value_only.grad is None
+
+    # non-finite inputs are the point here; numpy warns about them
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("new,old", PAIRS, ids=PAIR_IDS)
+    @settings(max_examples=40)
+    @given(batch=loss_batches(), where=st.tuples(st.integers(0, 7), st.integers(0, 5)),
+           bad=st.sampled_from([np.inf, np.nan, -np.inf]))
+    def test_non_finite_logit_in_any_column(self, new, old, batch, where, bad):
+        logits, labels = batch
+        logits[where[0] % logits.shape[0], where[1] % logits.shape[1]] = bad
+        want = old(logits, labels).value
+        for got in (new(logits, labels).value, new(logits, labels, grad=False).value):
+            # +inf and nan always poison the transcriptions; -inf only where
+            # it is read, and a finite value must then be the same value
+            if bad != -np.inf:
+                assert not np.isfinite(got)
+            assert np.isfinite(got) == np.isfinite(want)
+            if np.isfinite(want):
+                assert same_bits(got, want)
+
+    @settings(max_examples=60)
+    @given(x=st.one_of(st.sampled_from(EXTREME_LOGITS), st.floats(allow_nan=False)))
+    def test_sigmoid_of_a_scalar(self, x):
+        assert same_bits(sigmoid(x), verbatim_sigmoid(x))
+        z = np.exp(-np.abs(x))
+        assert same_bits(sigmoid(x, z), verbatim_sigmoid(x, z))
+
+    def test_sigmoid_of_an_array(self):
+        x = np.concatenate([EXTREME_LOGITS, np.linspace(-60.0, 60.0, 2001)]).reshape(-1, 2)
+        assert same_bits(sigmoid(x), verbatim_sigmoid(x))

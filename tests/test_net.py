@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import survnet.net as net_mod
 from survnet.errors import NumericalError, ValidationError
@@ -20,7 +24,14 @@ from survnet.sim import SimConfig, generate_dataset
 from survnet.grid import equidistant_grid, discretize
 from survnet.dataset import fit_standardizer
 
-from oracles import reference_fit
+from oracles import (
+    reference_fit,
+    verbatim_backward,
+    verbatim_forward_cached,
+    verbatim_nll_logistic_hazard,
+    verbatim_nll_pc_hazard,
+    verbatim_nll_pmf,
+)
 
 
 def squared_error_loss(target):
@@ -254,10 +265,10 @@ class TestFlatBufferFit:
         trained_nets = []
         true_forward = net_mod._forward_cached
 
-        def capturing(model, xb, training, rng):
+        def capturing(model, xb, training, rng, **kwargs):
             if training:
                 trained_nets.append(model)
-            return true_forward(model, xb, training, rng)
+            return true_forward(model, xb, training, rng, **kwargs)
 
         monkeypatch.setattr(net_mod, "_forward_cached", capturing)
         got, log = fit(start, loss_fn, x, train_labels, x_val, val_labels, cfg)
@@ -275,6 +286,194 @@ class TestFlatBufferFit:
         for a in (*got.weights, *got.biases):
             for buffer in (*training.weights, *training.biases, *start.weights, *start.biases):
                 assert not np.shares_memory(a, buffer)
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+LOSS_PAIRS = {
+    "lh": (nll_logistic_hazard, verbatim_nll_logistic_hazard),
+    "pmf": (nll_pmf, verbatim_nll_pmf),
+    "pc": (nll_pc_hazard, verbatim_nll_pc_hazard),
+}
+
+
+class TestWorkspace:
+    """The in-place passes against tests/oracles.py's allocating ones, bit for bit."""
+
+    @settings(max_examples=40)
+    @given(
+        hidden=st.lists(st.integers(1, 7), max_size=2),
+        rows=st.integers(1, 9),
+        spare=st.integers(0, 4),
+        dropout=st.sampled_from([0.0, 0.3]),
+        training=st.booleans(),
+        dead=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_passes_equal_the_verbatim_ones(
+        self, hidden, rows, spare, dropout, training, dead, seed
+    ):
+        data = np.random.default_rng(seed)
+        start = init_mlp([3, *hidden, 4], dropout=dropout, seed=seed)
+        weights = list(start.weights)
+        biases = [data.normal(size=b.shape) for b in start.biases]
+        if dead:
+            # pre-activations exactly 0, where the rectifier's slope is taken as 0
+            weights[0], biases[0] = np.zeros_like(weights[0]), np.zeros_like(biases[0])
+        net = Mlp(tuple(weights), tuple(biases), dropout)
+        x, grad_out = data.normal(size=(rows, 3)), data.normal(size=(rows, 4))
+        # once on its own buffers, once on a larger workspace whose leading
+        # rows a bigger batch has just filled
+        work = net_mod._Workspace(net.widths, rows + spare)
+        filler = data.normal(size=(rows + spare, 3))
+        _, cache = net_mod._forward_cached(net, filler, False, None, workspace=work)
+        net_mod.backward(net, cache, data.normal(size=(rows + spare, 4)))
+        for workspace in (None, work):
+            rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
+            want, cache = verbatim_forward_cached(net, x, training, rng_old)
+            want_w, want_b = verbatim_backward(net, cache, grad_out)
+            got, cache = net_mod._forward_cached(net, x, training, rng_new, workspace=workspace)
+            got_w, got_b = net_mod.backward(net, cache, grad_out)
+            assert same_bits(got, want)
+            for a, b in zip((*got_w, *got_b), (*want_w, *want_b)):
+                assert same_bits(a, b)
+            # dropout drew exactly as many numbers as before
+            assert rng_new.bit_generator.state == rng_old.bit_generator.state
+
+    @settings(max_examples=20)
+    @given(
+        method=st.sampled_from(sorted(LOSS_PAIRS)),
+        n=st.integers(1, 30),
+        batch_size=st.integers(1, 40),
+        dropout=st.sampled_from([0.0, 0.4]),
+        weight_decay=st.sampled_from([0.0, 0.01]),
+        epochs=st.integers(1, 3),
+        seed=st.integers(0, 2**16),
+    )
+    def test_fit_equals_the_verbatim_training(
+        self, method, n, batch_size, dropout, weight_decay, epochs, seed
+    ):
+        """Workspace, lean losses and in-place Adam against the per-array loop
+        of reference_fit running the verbatim passes and losses; batch sizes
+        that leave a partial last batch or exceed n included."""
+        new_loss, old_loss = LOSS_PAIRS[method]
+        rng = np.random.default_rng(seed)
+        m = 5
+
+        def labels(k):
+            idx = rng.integers(0, m + 1, k)
+            at = idx >= 1
+            return DiscreteLabels(idx, rng.integers(0, 2, k) * at, rng.uniform(0.0, 1.0, k) * at)
+
+        x, x_val = rng.normal(size=(n, 3)), rng.normal(size=(7, 3))
+        train_labels, val_labels = labels(n), labels(7)
+        start = init_mlp([3, 6, m], dropout=dropout, seed=seed)
+        cfg = TrainConfig(batch_size=batch_size, learning_rate=0.05, max_epochs=epochs,
+                          seed=seed, weight_decay=weight_decay)
+        got, log = fit(start, new_loss, x, train_labels, x_val, val_labels, cfg)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(net_mod, "_forward_cached", verbatim_forward_cached)
+            mp.setattr(net_mod, "backward", verbatim_backward)
+            want, want_log = reference_fit(start, old_loss, x, train_labels, x_val, val_labels, cfg)
+        assert log == want_log
+        for a, b in zip((*got.weights, *got.biases), (*want.weights, *want.biases)):
+            assert same_bits(a, b)
+
+    # non-finite inputs are the point here; numpy warns about them
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("method", sorted(LOSS_PAIRS))
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_output_past_every_label_aborts(self, method, bad):
+        # every record's interval is the first, so the last output column is
+        # one the likelihood never reads
+        x = np.ones((4, 2))
+        labels = DiscreteLabels([1, 1, 1, 1], [1, 0, 1, 0], [0.5, 1.0, 0.0, 0.25])
+        net = Mlp((np.zeros((2, 3)),), (np.array([0.0, 0.0, bad]),))
+        cfg = TrainConfig(batch_size=2, max_epochs=2, seed=0)
+        with pytest.raises(NumericalError, match="epoch 0, batch 0"):
+            fit(net, LOSS_PAIRS[method][0], x, labels, x, labels, cfg)
+
+    def test_fit_reaches_the_traced_call_sites(self, monkeypatch):
+        """perfbench/spans.py counts net.batches and net.flops from these calls:
+        _forward_cached(model, x, training=..., rng=...) and
+        backward(model, cache, grad_out, ...), looked up on the module."""
+        rng = np.random.default_rng(3)
+        n, batch_size, epochs = 50, 16, 3
+        x = rng.normal(size=(n, 4))
+        labels = DiscreteLabels(rng.integers(1, 6, n), rng.integers(0, 2, n), np.ones(n))
+        start = init_mlp([4, 8, 5], dropout=0.2, seed=1)
+        calls = []
+        true_forward, true_backward = net_mod._forward_cached, net_mod.backward
+
+        def forward_spy(*args, **kwargs):
+            training = kwargs.get("training", args[2] if len(args) > 2 else False)
+            calls.append(("forward", args[0], np.atleast_2d(args[1]).shape[0], training,
+                          kwargs.get("rng")))
+            return true_forward(*args, **kwargs)
+
+        def backward_spy(*args, **kwargs):
+            calls.append(("backward", args[0], np.asarray(args[2]).shape[0]))
+            return true_backward(*args, **kwargs)
+
+        monkeypatch.setattr(net_mod, "_forward_cached", forward_spy)
+        monkeypatch.setattr(net_mod, "backward", backward_spy)
+        cfg = TrainConfig(batch_size=batch_size, max_epochs=epochs, patience=epochs, seed=2)
+        fit(start, nll_logistic_hazard, x, labels, x, labels, cfg)
+        trained = [c for c in calls if c[0] == "forward" and c[3]]
+        backs = [c for c in calls if c[0] == "backward"]
+        n_batches = -(-n // batch_size)
+        assert len(trained) == len(backs) == epochs * n_batches
+        assert sum(c[2] for c in trained) == sum(c[2] for c in backs) == epochs * n
+        model = trained[0][1]
+        assert isinstance(model, Mlp) and model.widths == start.widths
+        assert all(c[1] is model for c in trained + backs)
+        assert all(isinstance(c[4], np.random.Generator) for c in trained)
+
+    def test_fit_peak_is_the_workspace_and_does_not_grow(self):
+        """Traced peak of fit at n = 5,000, widths 9-64-64-25, batch 256.
+
+        The training workspace (pre-activations, activations, dropout masks
+        and deltas for 256 rows, and the flat gradient), the validation
+        workspace (pre-activations and activations for the 1,000 validation
+        rows), the parameter, best, moment and scratch buffers, the batch
+        input and the permutation stay allocated for the whole fit; on top of
+        them the validation loss holds a few n_val x (m + 1) arrays. Measured
+        4.11-4.55 MB over the three losses. Before the workspace the peak was
+        3.55 MB: the per-step arrays were freed before each validation pass.
+        """
+        rng = np.random.default_rng(0)
+        n, n_val, p, m, rows = 5000, 1000, 9, 25, 256
+        widths = [p, 64, 64, m]
+        x, x_val = rng.normal(size=(n, p)), rng.normal(size=(n_val, p))
+
+        def labels(k):
+            return DiscreteLabels(rng.integers(1, m + 1, k), rng.integers(0, 2, k),
+                                  rng.uniform(0.05, 1.0, k))
+
+        train_labels, val_labels = labels(n), labels(n_val)
+        start = init_mlp(widths, dropout=0.1, seed=0)
+        n_params = sum(a * b + b for a, b in zip(widths[:-1], widths[1:]))
+        outputs, hidden = sum(widths[1:]), sum(widths[1:-1])
+        train_work = 8 * (rows * (outputs + 3 * hidden) + n_params)
+        val_work = 8 * n_val * (outputs + hidden)
+        persistent = train_work + val_work + 8 * (6 * n_params + rows * p + n)
+        val_loss_arrays = 4 * 8 * n_val * (m + 1)
+        bound = persistent + val_loss_arrays + 256 * 1024
+        for loss_fn in (nll_logistic_hazard, nll_pmf, nll_pc_hazard):
+            peaks = []
+            for epochs in (2, 6):
+                cfg = TrainConfig(max_epochs=epochs, patience=epochs, seed=1)
+                tracemalloc.start()
+                try:
+                    fit(start, loss_fn, x, train_labels, x_val, val_labels, cfg)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            assert max(peaks) < bound
+            assert peaks[1] < peaks[0] + 16 * 1024
 
 
 class TestSerialization:

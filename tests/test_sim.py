@@ -199,7 +199,7 @@ class TestTruthFile:
         assert len(lines) == 8 and all(len(line.split(",")) == 9 for line in lines[1:])
 
     def test_recomputed_truth_bit_identical_across_row_chunks(self, tmp_path):
-        # 4,100 rows cross the simulator's 4,096-row block boundary
+        # 4,100 rows span 32 full 128-row blocks (sim._BLOCK_ROWS) and a partial one
         result = generate_dataset(SimConfig(n=4100, seed=11))
         path = tmp_path / "truth.csv"
         write_truth_csv(path, result)
