@@ -31,17 +31,17 @@ from .errors import NumericalError, SchemaError, SurvnetError, ValidationError
 from .losses import nll_logistic_hazard, nll_pc_hazard, nll_pmf, sigmoid, softplus
 
 FORMAT_VERSION = "1"
-METHODS = ("pmf", "logistic-hazard", "pc-hazard")
-GRID_SCHEMES = ("equidistant", "km-quantile")
-INTERPOLATIONS = ("none", "cdi", "chi")
-
-CHOICES = {"method": METHODS, "grid_scheme": GRID_SCHEMES, "interp": INTERPOLATIONS}
-
+# looked up per call, so the entries can be wrapped (perfbench/spans.py does)
 LOSSES = {
     "pmf": nll_pmf,
     "logistic-hazard": nll_logistic_hazard,
     "pc-hazard": nll_pc_hazard,
 }
+METHODS = tuple(LOSSES)
+GRID_SCHEMES = ("equidistant", "km-quantile")
+INTERPOLATIONS = ("none", "cdi", "chi")
+
+CHOICES = {"method": METHODS, "grid_scheme": GRID_SCHEMES, "interp": INTERPOLATIONS}
 
 SIMULATE_DEFAULTS = {
     "n": 1000,
@@ -179,8 +179,13 @@ def load_model(path):
             np.asarray(doc["standardizer"]["means"], dtype=float),
             np.asarray(doc["standardizer"]["stds"], dtype=float),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"{path}: malformed model file ({exc!r})") from None
+    # json.load accepts NaN and Infinity
+    if not all(np.isfinite(a).all() for a in (*net.weights, *net.biases, std.means)):
+        raise SchemaError(f"{path}: model file holds a non-finite weight, bias or mean")
+    if not ((std.stds > 0) & (std.stds < np.inf)).all():
+        raise SchemaError(f"{path}: standardizer scales must be finite and positive")
     if net.out_dim != time_grid.m:
         raise SchemaError(
             f"{path}: network outputs {net.out_dim} values, grid has {time_grid.m} intervals"

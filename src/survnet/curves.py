@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .grid import TimeGrid, locate_times
+from .losses import cumsum_head
 
 KINDS = ("step", "cdi", "chi", "pc-hazard")
 
@@ -38,7 +39,7 @@ class SurvivalCurve:
             raise ValidationError(
                 f"values have {values.shape[1]} columns, grid has {grid.m} intervals"
             )
-        if np.any(values < -1e-9) or np.any(values > 1 + 1e-9):
+        if not (values >= -1e-9).all() or not (values <= 1 + 1e-9).all():  # also NaN
             raise ValidationError("survival values must lie in [0, 1]")
         if np.any(np.diff(values, axis=1) > 1e-9):
             raise ValidationError("survival values must be non-increasing")
@@ -51,7 +52,7 @@ class SurvivalCurve:
             eta = np.atleast_2d(np.asarray(eta, dtype=float))
             if eta.shape != values.shape:
                 raise ValidationError("eta shape must match values")
-            if np.any(eta < 0):
+            if not (eta >= 0).all():
                 raise ValidationError("hazard masses must be nonnegative")
             implied = np.exp(-np.cumsum(eta, axis=1))
             if np.max(np.abs(implied - values)) > 1e-12:
@@ -123,11 +124,11 @@ class SurvivalCurve:
         ):
             raise ValidationError(f"out must be a column-major float64 array of shape {shape}")
         table = self._tables()
-        if self.kind == "step":
-            j = np.searchsorted(self.grid.cuts, ts, side="right") - 1
-            np.take(table[0], np.clip(j, 0, self.grid.m), axis=0, out=out.T, mode="clip")
-            return out[:, 0] if scalar else out
         k, rho = locate_times(ts, self.grid)
+        if self.kind == "step":
+            # the last cut at or before each time
+            np.take(table[0], k - (ts < self.grid.cuts[k]), axis=0, out=out.T, mode="clip")
+            return out[:, 0] if scalar else out
         scratch = np.empty(shape, order="F")
         np.take(table[0], k - 1, axis=0, out=out.T, mode="clip")
         if self.kind == "pc-hazard":
@@ -177,7 +178,7 @@ class SurvivalCurve:
 def surv_from_hazard(hazards, grid: TimeGrid) -> SurvivalCurve:
     """Step curve from per-interval conditional event probabilities."""
     hazards = np.atleast_2d(np.asarray(hazards, dtype=float))
-    if np.any(hazards < 0) or np.any(hazards > 1):
+    if not (hazards >= 0).all() or not (hazards <= 1).all():
         raise ValidationError("hazards must lie in [0, 1]")
     values = np.cumprod(1.0 - hazards, axis=1)
     return SurvivalCurve(grid, values, "step")
@@ -203,14 +204,13 @@ def surv_from_pmf(logits, grid: TimeGrid) -> SurvivalCurve:
         raise ValidationError(
             f"logits have {probs.shape[1] - 1} columns, grid has {grid.m} intervals"
         )
-    tail = np.flip(np.cumsum(np.flip(probs, axis=1), axis=1), axis=1)
-    return SurvivalCurve(grid, tail[:, 1:], "step")
+    return SurvivalCurve(grid, cumsum_head(probs)[:, 1:], "step")
 
 
 def pc_hazard_curve(eta, grid: TimeGrid) -> SurvivalCurve:
     """Piecewise-exponential curve from per-interval hazard masses."""
     eta = np.atleast_2d(np.asarray(eta, dtype=float))
-    if np.any(eta < 0):
+    if not (eta >= 0).all():
         raise ValidationError("hazard masses must be nonnegative")
     values = np.exp(-np.cumsum(eta, axis=1))
     return SurvivalCurve(grid, values, "pc-hazard", eta=eta)

@@ -34,6 +34,8 @@ class TimeGrid:
             raise ValidationError("a grid needs at least two cut points")
         if cuts[0] != 0.0:
             raise ValidationError("the first cut point must be 0")
+        if not np.isfinite(cuts).all():
+            raise ValidationError("cut points must be finite")
         if np.any(np.diff(cuts) <= 0):
             raise ValidationError("cut points must be strictly increasing")
         cuts.setflags(write=False)

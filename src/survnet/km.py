@@ -68,23 +68,21 @@ def fit(durations, events) -> KaplanMeierCurve:
 
 def survival_at(curve: KaplanMeierCurve, t) -> np.ndarray | float:
     """Right-continuous step evaluation; 1 before the first drop."""
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < 0):
-        raise ValidationError("evaluation times must be nonnegative")
-    idx = np.searchsorted(curve.times, t_arr, side="right") - 1
-    padded = np.concatenate([[1.0], curve.surv])
-    out = padded[idx + 1]
-    return float(out) if np.isscalar(t) else out
+    return _step_value(curve, t, "right")
 
 
 def survival_before(curve: KaplanMeierCurve, t) -> np.ndarray | float:
     """Left limit of the step function, i.e. the estimate just before t."""
+    return _step_value(curve, t, "left")
+
+
+def _step_value(curve: KaplanMeierCurve, t, side: str) -> np.ndarray | float:
+    """The estimate after every drop before t ("left") or at or before t ("right")."""
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr < 0):
         raise ValidationError("evaluation times must be nonnegative")
-    idx = np.searchsorted(curve.times, t_arr, side="left") - 1
     padded = np.concatenate([[1.0], curve.surv])
-    out = padded[idx + 1]
+    out = padded[np.searchsorted(curve.times, t_arr, side=side)]
     return float(out) if np.isscalar(t) else out
 
 

@@ -33,17 +33,20 @@ LOG_SOFTPLUS_CUTOFF = -15.0
 MIN_EVENT_FRAC = 1e-7
 
 
-def sigmoid(x, z=None):
+def sigmoid(x, z=None, out=None):
     """Logistic function, safe for arbitrarily large |x|; z is exp(-|x|) if given.
 
     The numerator exp(min(x, 0)) is z for negative x and 1 otherwise, so this
     is z / (1 + z) or 1 / (1 + z) per element without a branch on the sign.
+    A given z is overwritten with 1 + z. The result is written into ``out``
+    when given, which may be x itself, and into a new array otherwise.
     """
     x = np.asarray(x, dtype=float)
     z = np.exp(-np.abs(x)) if z is None else z
-    num = np.minimum(x, 0.0, out=np.empty_like(x))
+    num = np.minimum(x, 0.0, out=np.empty_like(x) if out is None else out)
     np.exp(num, out=num)
-    return np.divide(num, 1.0 + z, out=num)
+    z += 1.0
+    return np.divide(num, z, out=num)
 
 
 def softplus(x):

@@ -124,6 +124,7 @@ class _Workspace:
 
 
 def _forward_cached(net: Mlp, x, training: bool, rng, workspace=None):
+    """Outputs and backward's cache (x, workspace, dropout used) of one pass."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if x.shape[1] != net.widths[0]:
         raise ValidationError(
@@ -135,17 +136,12 @@ def _forward_cached(net: Mlp, x, training: bool, rng, workspace=None):
     rows = x.shape[0]
     work = _Workspace(net.widths, rows) if workspace is None else workspace
     n_layers = len(net.weights)
-    acts = [x]
-    zs = []
-    masks = [None]
     a = x
     for layer, (w, b) in enumerate(zip(net.weights, net.biases)):
         z = np.matmul(a, w, out=work.zs[layer][:rows])
         z += b
-        zs.append(z)
         if layer < n_layers - 1:
             a = np.maximum(z, 0.0, out=work.acts[layer][:rows])
-            mask = None
             if use_dropout:
                 keep = 1.0 - net.dropout
                 # the same stream as rng.random(a.shape); kept entries are 1 / keep
@@ -153,9 +149,7 @@ def _forward_cached(net: Mlp, x, training: bool, rng, workspace=None):
                 np.less(mask, keep, out=mask)
                 mask /= keep
                 a *= mask
-            acts.append(a)
-            masks.append(mask)
-    return z, (acts, zs, masks, work)
+    return z, (x, work, use_dropout)
 
 
 def forward(net: Mlp, x, training: bool = False, rng=None):
@@ -170,18 +164,19 @@ def backward(net: Mlp, cache, grad_out):
     They are written into the flat gradient buffer of the forward pass's
     workspace and returned as its per-array views.
     """
-    acts, zs, masks, work = cache
+    x, work, dropout_used = cache
     grads_w, grads_b = work.gradient()
     delta = np.asarray(grad_out, dtype=float)
     rows = delta.shape[0]
     for layer in range(len(net.weights) - 1, -1, -1):
-        np.matmul(acts[layer].T, delta, out=grads_w[layer])
+        a = x if layer == 0 else work.acts[layer - 1][:rows]
+        np.matmul(a.T, delta, out=grads_w[layer])
         np.sum(delta, axis=0, out=grads_b[layer])
         if layer > 0:
             da = np.matmul(delta, net.weights[layer].T, out=work.deltas[layer - 1][:rows])
-            if masks[layer] is not None:
-                da *= masks[layer]
-            da *= zs[layer - 1] > 0
+            if dropout_used:
+                da *= work.masks[layer - 1][:rows]
+            da *= work.zs[layer - 1][:rows] > 0
             delta = da
     return list(grads_w), list(grads_b)
 

@@ -12,11 +12,12 @@ survival curves are returned next to the data, enabling error measurement
 against the truth.
 
 One hazard kernel serves both generate_dataset and true_survival: it works
-through the individuals in blocks of rows, reusing a few preallocated block
-buffers, and puts every element through the same operations whatever the
-block size. The truth recomputed from the latent scores is therefore the
-simulator's truth bit for bit, and the memory beyond the n x n_steps truth
-stays a few block-sized arrays.
+through the individuals in blocks of rows, reusing two preallocated block
+buffers, the first holding the logits and then the hazards, and puts every
+element through the same operations whatever the block size. The truth
+recomputed from the latent scores is therefore the simulator's truth bit for
+bit, and the memory beyond the n x n_steps truth stays a few block-sized
+arrays.
 """
 
 from __future__ import annotations
@@ -176,40 +177,29 @@ def _logit_hazard_into(g, a, t, out, scratch):
     np.add(out, scratch, out=out)
 
 
-def _sigmoid_into(x, out, mask):
-    """Write losses.sigmoid(x) into out with the same operations; x is overwritten."""
-    np.greater_equal(x, 0.0, out=mask)
-    np.abs(x, out=out)
-    np.negative(out, out=out)
-    np.exp(out, out=out)
-    np.add(1.0, out, out=x)
-    np.divide(1.0, x, out=out, where=mask)
-    np.logical_not(mask, out=mask)
-    np.divide(out, x, out=out, where=mask)
-
-
 def _survival_blocks(gammas: GammaSet, times: np.ndarray, truth: np.ndarray):
     """Fill truth with the exact survival curves, _BLOCK_ROWS rows at a time.
 
-    Each block's hazards and survival are computed in buffers allocated once,
-    so the memory beyond truth stays a few block-sized arrays whatever the
-    number of rows. Every element goes through the same operations whatever
-    the block size, so the curves are the same bit for bit for any split into
-    blocks. Yields (lo, hi, h) after writing rows lo to hi - 1, h holding
-    their per-step event probabilities until the next block overwrites it.
+    Two block buffers are allocated once: the logits, turned into the
+    hazards h in place by losses.sigmoid, and a scratch buffer that holds
+    exp(-|logit|) and then 1 - h. The memory beyond truth therefore stays two
+    block-sized arrays whatever the number of rows. Every element goes through
+    the same operations whatever the block size, so the curves are the same
+    bit for bit for any split into blocks. Yields (lo, hi, h) after writing
+    rows lo to hi - 1, h holding their per-step event probabilities in the
+    logit buffer until the next block overwrites it.
     """
     gamma, alpha = gammas.gamma, gammas.alpha
     logit = np.empty((min(_BLOCK_ROWS, gamma.shape[0]), times.shape[0]))
-    h = np.empty_like(logit)
-    mask = np.empty(logit.shape, dtype=bool)
+    scratch = np.empty_like(logit)
     for lo in range(0, gamma.shape[0], _BLOCK_ROWS):
         hi = min(lo + _BLOCK_ROWS, gamma.shape[0])
-        x, hb = logit[: hi - lo], h[: hi - lo]
-        _logit_hazard_into(gamma[lo:hi], alpha[lo:hi], times, x, hb)
-        _sigmoid_into(x, hb, mask[: hi - lo])
-        np.subtract(1.0, hb, out=x)
-        np.cumprod(x, axis=1, out=truth[lo:hi])
-        yield lo, hi, hb
+        h, s = logit[: hi - lo], scratch[: hi - lo]
+        _logit_hazard_into(gamma[lo:hi], alpha[lo:hi], times, h, s)
+        np.exp(np.negative(np.abs(h, out=s), out=s), out=s)
+        sigmoid(h, s, out=h)
+        np.cumprod(np.subtract(1.0, h, out=s), axis=1, out=truth[lo:hi])
+        yield lo, hi, h
 
 
 def true_survival(gammas: GammaSet, times=None) -> np.ndarray:

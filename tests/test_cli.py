@@ -340,22 +340,43 @@ class TestModelFile:
         assert run_cli("evaluate", "--model", str(broken2),
                        "--data", str(pipeline["test"])) == 1
 
-    @pytest.mark.parametrize("path", [("grid", "cuts"), ("net", "widths"),
-                                      ("standardizer", "stds")])
-    @pytest.mark.parametrize("damage", ["delete", "shorten"])
-    def test_damaged_nested_value_exits_one(self, pipeline, tmp_path, capsys, path, damage):
-        model = tmp_path / "model.json"
+    DAMAGES = ("delete", "shorten", "nan", "inf")
+
+    @pytest.fixture(scope="class")
+    def model_text(self, pipeline, tmp_path_factory):
+        model = tmp_path_factory.mktemp("model") / "model.json"
         assert run_cli(*fit_args(pipeline, model)) == 0
-        doc = json.loads(model.read_text())
+        return model.read_text()
+
+    @pytest.mark.parametrize("path", [("grid", "cuts"), ("net", "widths"),
+                                      ("standardizer", "stds"), ("net", "weights"),
+                                      ("net", "biases"), ("standardizer", "means")])
+    # evaluate's ids carry no command name
+    @pytest.mark.parametrize("command, damage", [
+        *(pytest.param("evaluate", d, id=d) for d in DAMAGES),
+        *(pytest.param("predict", d, id=f"predict-{d}") for d in DAMAGES),
+    ])
+    def test_damaged_nested_value_exits_one(
+        self, pipeline, model_text, tmp_path, capsys, path, command, damage
+    ):
+        doc = json.loads(model_text)
         if damage == "delete":
             del doc[path[0]][path[1]]
-        else:
+        elif damage == "shorten":
             doc[path[0]][path[1]] = doc[path[0]][path[1]][:-1]
+        else:
+            # the last number: the last cut, the output width, the last weight...
+            numbers = doc[path[0]][path[1]]
+            while isinstance(numbers[-1], list):
+                numbers = numbers[-1]
+            numbers[-1] = float(damage)
         broken = tmp_path / "broken.json"
+        # written as the bare NaN and Infinity that json.load accepts
         broken.write_text(json.dumps(doc))
+        out = ["--out", str(tmp_path / "curves.csv")] if command == "predict" else []
         capsys.readouterr()
-        assert run_cli("evaluate", "--model", str(broken),
-                       "--data", str(pipeline["test"])) == 1
+        assert run_cli(command, "--model", str(broken),
+                       "--data", str(pipeline["test"]), *out) == 1
         assert_one_line_error(capsys)
 
     def test_unknown_flag_exits_one(self):

@@ -39,6 +39,11 @@ class TestSurvFromHazard:
         with pytest.raises(ValidationError):
             surv_from_hazard([1.5, 0.0], GRID2)
 
+    @pytest.mark.parametrize("hazards", [[np.nan, 0.1], [0.1, np.nan]])
+    def test_nan_hazard_rejected(self, hazards):
+        with pytest.raises(ValidationError, match="hazards must lie in"):
+            surv_from_hazard(hazards, GRID2)
+
 
 class TestSurvFromPmf:
     def test_uniform_softmax(self):
@@ -81,6 +86,11 @@ class TestPcHazardCurve:
         assert pc_hazard_curve([0.5, 1.0], GRID2).evaluate(35.0)[0] == pytest.approx(
             np.exp(-1.5), abs=1e-15
         )
+
+    @pytest.mark.parametrize("eta", [[np.nan, 1.0], [0.5, np.nan]])
+    def test_nan_mass_rejected(self, eta):
+        with pytest.raises(ValidationError, match="hazard masses must be nonnegative"):
+            pc_hazard_curve(eta, GRID2)
 
 
 class TestInterpolate:
@@ -157,6 +167,15 @@ class TestSurvivalCurveContainer:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValidationError):
             SurvivalCurve(GRID2, [1.2, 0.8])
+
+    @pytest.mark.parametrize("values, eta", [
+        ([[np.nan, 0.5]], None), ([[0.9, np.nan]], None),
+        ([[0.9, 0.5]], [[np.nan, 0.1]]),
+    ])
+    def test_nan_values_or_masses_rejected(self, values, eta):
+        kind = "step" if eta is None else "pc-hazard"
+        with pytest.raises(ValidationError, match="must lie in|nonnegative"):
+            SurvivalCurve(GRID2, values, kind, eta)
 
     def test_pc_kind_needs_consistent_masses(self):
         with pytest.raises(ValidationError):

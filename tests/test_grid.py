@@ -236,3 +236,8 @@ class TestTimeGrid:
     def test_strictly_increasing(self):
         with pytest.raises(ValidationError):
             TimeGrid([0, 5, 5])
+
+    @pytest.mark.parametrize("cuts", [[0, 5, np.inf], [0, np.nan, 5], [0, 5, np.nan]])
+    def test_non_finite_cut_rejected(self, cuts):
+        with pytest.raises(ValidationError, match="finite"):
+            TimeGrid(cuts)

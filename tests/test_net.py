@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import survnet.grid as grid_mod
 import survnet.net as net_mod
+from survnet import cli
 from survnet.errors import NumericalError, ValidationError
 from survnet.grid import DiscreteLabels
 from survnet.losses import LossOutput, nll_logistic_hazard, nll_pc_hazard, nll_pmf
@@ -22,7 +24,7 @@ from survnet.net import (
 )
 from survnet.sim import SimConfig, generate_dataset
 from survnet.grid import equidistant_grid, discretize
-from survnet.dataset import fit_standardizer
+from survnet.dataset import fit_standardizer, write_csv
 
 from oracles import (
     reference_fit,
@@ -431,6 +433,42 @@ class TestWorkspace:
         assert isinstance(model, Mlp) and model.widths == start.widths
         assert all(c[1] is model for c in trained + backs)
         assert all(isinstance(c[4], np.random.Generator) for c in trained)
+
+    def test_cli_fit_reaches_the_traced_call_sites(self, tmp_path, monkeypatch):
+        """perfbench/spans.py wraps the cli.LOSSES entries and the grid and
+        label builders of the grid module, so a fit must look each of them up
+        there per call. perfbench runs and reads the methods in cli.METHODS
+        order, and perfbench/selftest.py fits cli.METHODS[0]."""
+        assert cli.METHODS == ("pmf", "logistic-hazard", "pc-hazard")
+        files = {}
+        for name, seed in (("train", 1), ("val", 2)):
+            files[name] = tmp_path / f"{name}.csv"
+            write_csv(generate_dataset(SimConfig(n=80, seed=seed)).data, files[name])
+        reached = []
+
+        def spy(name, fn):
+            def wrapper(*args, **kwargs):
+                # only the training batches of net.fit ask a loss for its gradient
+                reached.append(name if kwargs.get("grad", True) else f"{name} value")
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for method in cli.METHODS:
+            monkeypatch.setitem(cli.LOSSES, method, spy(method, cli.LOSSES[method]))
+        builders = {"equidistant": "equidistant_grid", "km-quantile": "km_quantile_grid"}
+        for name in ("discretize", "continuous_labels", *builders.values()):
+            monkeypatch.setattr(grid_mod, name, spy(name, getattr(grid_mod, name)))
+        for method in cli.METHODS:
+            labels = "continuous_labels" if method == "pc-hazard" else "discretize"
+            for scheme, builder in builders.items():
+                reached.clear()
+                assert cli.main([
+                    "fit", "--method", method, "--grid-scheme", scheme,
+                    "--train", str(files["train"]), "--val", str(files["val"]),
+                    "--m", "4", "--width", "4", "--depth", "1", "--max-epochs", "2",
+                    "--out", str(tmp_path / "model.json"),
+                ]) == 0
+                assert set(reached) == {method, f"{method} value", labels, builder}
 
     def test_fit_peak_is_the_workspace_and_does_not_grow(self):
         """Traced peak of fit at n = 5,000, widths 9-64-64-25, batch 256.
