@@ -49,10 +49,10 @@ from .curves import (
     surv_from_hazard,
     surv_from_pmf,
 )
-from .net import Mlp, TrainConfig, forward, gradient_check, init_mlp
+from .net import Mlp, TrainConfig, forward, init_mlp
 from .net import fit as fit_net
 from .metrics import EvalGrid, integrated_brier_score, mse_vs_truth, td_concordance
-from .sim import GammaSet, SimConfig, generate_dataset, logit_hazard, true_survival
+from .sim import GammaSet, SimConfig, generate_dataset, true_survival
 
 __version__ = "0.2.0"
 
@@ -83,12 +83,10 @@ __all__ = [
     "fit_standardizer",
     "forward",
     "generate_dataset",
-    "gradient_check",
     "init_mlp",
     "integrated_brier_score",
     "km_quantile_grid",
     "load_csv",
-    "logit_hazard",
     "mse_vs_truth",
     "nll_logistic_hazard",
     "nll_pc_hazard",

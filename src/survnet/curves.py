@@ -46,24 +46,24 @@ class SurvivalCurve:
         values = np.clip(values, 0.0, 1.0)
         if kind not in KINDS:
             raise ValidationError(f"unknown curve kind {kind!r}")
-        if kind == "pc-hazard":
-            if eta is None:
-                raise ValidationError("pc-hazard curves need per-interval hazard masses")
+        if kind == "pc-hazard" and eta is None:
+            raise ValidationError("pc-hazard curves need per-interval hazard masses")
+        if eta is not None:
             eta = np.atleast_2d(np.asarray(eta, dtype=float))
             if eta.shape != values.shape:
                 raise ValidationError("eta shape must match values")
             if not (eta >= 0).all():
                 raise ValidationError("hazard masses must be nonnegative")
-            implied = np.exp(-np.cumsum(eta, axis=1))
-            if np.max(np.abs(implied - values)) > 1e-12:
+            if np.max(np.abs(np.exp(-np.cumsum(eta, axis=1)) - values)) > 1e-12:
                 raise ValidationError("values inconsistent with the hazard masses")
-            eta.setflags(write=False)
-        values.setflags(write=False)
-        self.grid = grid
-        self.values = values
-        self.kind = kind
-        self.eta = eta
-        self._cache = None
+        self._set(grid, values, kind, eta)
+
+    def _set(self, grid, values, kind, eta) -> "SurvivalCurve":
+        for arr in (values, eta):
+            if arr is not None:
+                arr.setflags(write=False)
+        self.grid, self.values, self.kind, self.eta, self._cache = grid, values, kind, eta, None
+        return self
 
     @property
     def n(self) -> int:
@@ -85,22 +85,19 @@ class SurvivalCurve:
             raise ValidationError("take needs a 1-d array of individual indices")
         return self._select(indices)
 
-    def _select(self, index) -> "SurvivalCurve":
+    def _select(self, index, kind=None) -> "SurvivalCurve":
         # A selection of valid curves is valid, so the checks are not repeated.
+        eta = None if self.eta is None else self.eta[index]
         sub = object.__new__(SurvivalCurve)
-        sub.grid, sub.kind, sub._cache = self.grid, self.kind, None
-        sub.values = self.values[index]
-        sub.eta = None if self.eta is None else self.eta[index]
-        for arr in (sub.values, sub.eta):
-            if arr is not None:
-                arr.setflags(write=False)
-        return sub
+        return sub._set(self.grid, self.values[index], kind or self.kind, eta)
 
     def with_kind(self, kind: str) -> "SurvivalCurve":
         """Same discrete values, read with a different scheme between cuts."""
+        if kind not in KINDS:
+            raise ValidationError(f"unknown curve kind {kind!r}")
         if kind == "pc-hazard" and self.eta is None:
             raise ValidationError("cannot reinterpret as pc-hazard without hazard masses")
-        return SurvivalCurve(self.grid, self.values, kind, self.eta)
+        return self._select(slice(None), kind)
 
     def evaluate(self, times, out=None):
         """Survival at the given time(s): shape (n,) for a scalar, (n, T) else.
@@ -210,10 +207,13 @@ def surv_from_pmf(logits, grid: TimeGrid) -> SurvivalCurve:
 def pc_hazard_curve(eta, grid: TimeGrid) -> SurvivalCurve:
     """Piecewise-exponential curve from per-interval hazard masses."""
     eta = np.atleast_2d(np.asarray(eta, dtype=float))
+    if eta.shape[1] != grid.m:
+        raise ValidationError(f"eta has {eta.shape[1]} columns, grid has {grid.m} intervals")
     if not (eta >= 0).all():
         raise ValidationError("hazard masses must be nonnegative")
+    # values from nonnegative masses pass the constructor's checks by construction
     values = np.exp(-np.cumsum(eta, axis=1))
-    return SurvivalCurve(grid, values, "pc-hazard", eta=eta)
+    return object.__new__(SurvivalCurve)._set(grid, values, "pc-hazard", eta)
 
 
 def write_curves_csv(path, times, values) -> None:

@@ -23,7 +23,7 @@ class SurvivalDataset:
     def __init__(self, durations, events, covariates, covariate_names=None):
         durations = np.array(durations, dtype=float)
         events = np.array(events, dtype=int)
-        covariates = np.array(covariates, dtype=float)
+        covariates = np.array(covariates, dtype=float, order="C")  # one layout for matmuls
         if durations.ndim != 1:
             raise ValidationError("durations must be a 1-d array")
         if covariates.ndim != 2:
@@ -78,25 +78,15 @@ class SurvivalDataset:
         return f"SurvivalDataset(n={self.n}, p={self.p}, events={n_events})"
 
 
-def _parse_number(raw: str, row: int, column: str, path) -> float:
-    try:
-        return float(raw)
-    except ValueError:
-        raise ValidationError(
-            f"{path}: row {row}: column {column!r} has non-numeric value {raw!r}"
-        ) from None
-
-
-def _parse_plain(fh, n_cols: int, d_pos: int, e_pos: int):
+def _parse_plain(fh, width: int):
     """The data rows of a file of plain numbers via ``np.loadtxt``, else None.
 
     ``fh`` is a file opened with ``newline=""`` and read just past the header,
     so its lines are the rows ``csv`` reads. The fast path takes only ASCII
-    lines without quotes or blank lines, at least one of them; the arrays
-    must then hold one row per line and ``n_cols`` columns, with finite
-    nonnegative durations and events 0 or 1. Anything else is left to the
-    row parser, which words the error. ``loadtxt`` parses a number as
-    ``float`` does, so the arrays are the row parser's bit for bit.
+    lines without quotes or blank lines, at least one of them; the array must
+    then hold one row per line and ``width`` columns. Anything else is left to
+    the row parser, which words the error. ``loadtxt`` parses a number as
+    ``float`` does, so the array is the row parser's bit for bit.
     """
     n_rows = 0
     try:
@@ -114,74 +104,68 @@ def _parse_plain(fh, n_cols: int, d_pos: int, e_pos: int):
         data = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None)
     except ValueError:
         return None
-    durations, events = data[:, d_pos], data[:, e_pos]
-    if (
-        data.shape != (n_rows, n_cols)
-        or not np.isfinite(durations).all()
-        or (durations < 0).any()
-        or not np.isin(events, (0.0, 1.0)).all()
-    ):
-        return None
-    return data
+    return data if data.shape == (n_rows, width) else None
 
 
-def load_csv(path, duration_col: str = "duration", event_col: str = "event") -> SurvivalDataset:
+def _read_rows(fh, width: int, path, error) -> np.ndarray:
+    """The rows after the header as an (n, width) float64 array.
+
+    ``fh`` is a file opened with ``newline=""`` whose header row ``csv.reader``
+    has read. Files of plain numbers are parsed in one ``np.loadtxt`` call and
+    any other file by ``csv`` row by row, with the same result. A file without
+    rows, a row of the wrong width or a value that ``float`` rejects raises
+    ``error``; rows are numbered from 1 (the header is row 0).
+    """
+    data = _parse_plain(fh, width)
+    if data is not None:
+        return data
+    fh.seek(0)
+    reader = csv.reader(fh)
+    next(reader)
+    rows = []
+    for rownum, row in enumerate(reader, start=1):
+        if len(row) != width:
+            raise error(f"{path}: row {rownum} has {len(row)} values, expected {width}")
+        try:
+            rows.append([float(v) for v in row])
+        except ValueError as exc:
+            raise error(f"{path}: row {rownum}: {exc}") from None
+    if not rows:
+        raise error(f"{path}: no data rows")
+    return np.array(rows)
+
+
+def load_csv(path) -> SurvivalDataset:
     """Read a dataset from a comma-separated file with a header row.
 
-    The duration and event columns are resolved by name; every remaining
-    column becomes a covariate, in header order. Data rows are numbered from 1
-    (the header is row 0) in error messages. Files of plain numbers are parsed
-    in one ``np.loadtxt`` call; any other file, and any file with a value the
-    row checks reject, goes through the row parser, with the same result.
+    The ``duration`` and ``event`` columns are resolved by name; every
+    remaining column becomes a covariate, in header order. Durations must be
+    finite and nonnegative and events 0 or 1; an error names the first bad
+    data row, numbered from 1 (the header is row 0).
     """
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = next(csv.reader(fh))
         except StopIteration:
             raise SchemaError(f"{path}: empty file, a header row is required") from None
-        for col in (duration_col, event_col):
+        for col in ("duration", "event"):
             if col not in header:
                 raise SchemaError(f"{path}: missing required column {col!r}")
-        d_pos = header.index(duration_col)
-        e_pos = header.index(event_col)
-        cov_pos = [i for i in range(len(header)) if i not in (d_pos, e_pos)]
-        cov_names = [header[i] for i in cov_pos]
-        data = _parse_plain(fh, len(header), d_pos, e_pos)
-        if data is not None:
-            # row-major like the row parser's, so matmuls see the same layout
-            covariates = np.ascontiguousarray(data[:, cov_pos])
-            return SurvivalDataset(data[:, d_pos], data[:, e_pos], covariates, cov_names)
-        fh.seek(0)
-        reader = csv.reader(fh)
-        next(reader)
-        durations, events, rows = [], [], []
-        for rownum, row in enumerate(reader, start=1):
-            if len(row) != len(header):
-                raise ValidationError(
-                    f"{path}: row {rownum} has {len(row)} fields, expected {len(header)}"
-                )
-            duration = _parse_number(row[d_pos], rownum, duration_col, path)
-            if not math.isfinite(duration):
-                raise ValidationError(
-                    f"{path}: row {rownum}: non-finite duration {row[d_pos]!r}"
-                )
-            if duration < 0:
-                raise ValidationError(
-                    f"{path}: row {rownum}: negative duration {row[d_pos]!r}"
-                )
-            event = _parse_number(row[e_pos], rownum, event_col, path)
-            if event not in (0.0, 1.0):
-                raise ValidationError(
-                    f"{path}: row {rownum}: event must be 0 or 1, got {row[e_pos]!r}"
-                )
-            durations.append(duration)
-            events.append(int(event))
-            rows.append([_parse_number(row[i], rownum, header[i], path) for i in cov_pos])
-        if not durations:
-            raise ValidationError(f"{path}: no data rows")
-    covariates = np.asarray(rows, dtype=float).reshape(len(durations), len(cov_pos))
-    return SurvivalDataset(durations, events, covariates, cov_names)
+        data = _read_rows(fh, len(header), path, ValidationError)
+    d_pos, e_pos = header.index("duration"), header.index("event")
+    durations, events = data[:, d_pos], data[:, e_pos]
+    bad = ~(np.isfinite(durations) & (durations >= 0) & ((events == 0) | (events == 1)))
+    if bad.any():
+        row = int(np.argmax(bad))
+        d, e = float(durations[row]), float(events[row])
+        problem = (
+            f"non-finite duration {d!r}" if not math.isfinite(d)
+            else f"negative duration {d!r}" if d < 0
+            else f"event must be 0 or 1, got {e!r}"
+        )
+        raise ValidationError(f"{path}: row {row + 1}: {problem}")
+    cov_pos = [i for i in range(len(header)) if i not in (d_pos, e_pos)]
+    return SurvivalDataset(durations, events, data[:, cov_pos], [header[i] for i in cov_pos])
 
 
 def write_csv(data: SurvivalDataset, path) -> None:

@@ -72,7 +72,7 @@ class DiscreteLabels:
             raise ValidationError("interval indices must be nonnegative")
         if not np.isin(event, (0, 1)).all():
             raise ValidationError("events must be 0 or 1")
-        if np.any(frac < 0) or np.any(frac > 1):
+        if not (frac >= 0).all() or not (frac <= 1).all():  # also NaN
             raise ValidationError("fractions must lie in [0, 1]")
         if np.any((event == 1) & (idx < 1)):
             raise ValidationError("an observed event needs interval index >= 1")
@@ -145,7 +145,7 @@ def locate_times(times, grid: TimeGrid):
     t = 0 maps to (1, 0.0); times beyond the last cut clamp to (m, 1.0).
     """
     times = np.asarray(times, dtype=float)
-    if np.any(times < 0):
+    if not (times >= 0).all():  # also rejects NaN
         raise ValidationError("times must be nonnegative")
     cuts = grid.cuts
     k = np.searchsorted(cuts, times, side="left").clip(1, grid.m)

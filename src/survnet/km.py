@@ -34,9 +34,9 @@ class KaplanMeierCurve:
         surv = np.asarray(self.surv, dtype=float)
         if times.shape != surv.shape or times.ndim != 1:
             raise ValidationError("times and surv must be 1-d arrays of equal length")
-        if times.size and np.any(np.diff(times) <= 0):
+        if not (np.diff(times) > 0).all():
             raise ValidationError("drop times must be strictly increasing")
-        if np.any(surv < 0) or np.any(surv > 1) or np.any(np.diff(surv) > 0):
+        if not (surv >= 0).all() or not (surv <= 1).all() or np.any(np.diff(surv) > 0):
             raise ValidationError("surv must be non-increasing within [0, 1]")
         times.setflags(write=False)
         surv.setflags(write=False)
@@ -52,7 +52,7 @@ def fit(durations, events) -> KaplanMeierCurve:
         raise ValidationError("cannot fit a survival curve on empty input")
     if durations.shape != events.shape or durations.ndim != 1:
         raise ValidationError("durations and events must be 1-d arrays of equal length")
-    if np.any(durations < 0):
+    if not (durations >= 0).all():  # also rejects NaN
         raise ValidationError("durations must be nonnegative")
     order = np.argsort(durations, kind="stable")
     t = durations[order]
@@ -79,7 +79,7 @@ def survival_before(curve: KaplanMeierCurve, t) -> np.ndarray | float:
 def _step_value(curve: KaplanMeierCurve, t, side: str) -> np.ndarray | float:
     """The estimate after every drop before t ("left") or at or before t ("right")."""
     t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < 0):
+    if not (t_arr >= 0).all():  # also rejects NaN
         raise ValidationError("evaluation times must be nonnegative")
     padded = np.concatenate([[1.0], curve.surv])
     out = padded[np.searchsorted(curve.times, t_arr, side=side)]

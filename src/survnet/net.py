@@ -325,42 +325,6 @@ def fit(net: Mlp, loss_fn, train_x, train_labels, val_x, val_labels, cfg: TrainC
     return over(best_theta), log
 
 
-def gradient_check(net: Mlp, loss_fn, x, labels, eps: float = 1e-5) -> float:
-    """Largest relative disagreement between backprop and central differences.
-
-    Runs the network in evaluation mode (no dropout), perturbs every parameter
-    coordinate by +-eps and compares (f+ - f-) / (2 eps) against the
-    reverse-mode gradient. The relative error uses the larger of the two
-    magnitudes, floored at 1e-6.
-    """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    out, cache = _forward_cached(net, x, training=False, rng=None)
-    grads_w, grads_b = backward(net, cache, loss_fn(out, labels).grad)
-    work_w = [w.copy() for w in net.weights]
-    work_b = [b.copy() for b in net.biases]
-
-    def value():
-        model = Mlp(tuple(work_w), tuple(work_b), net.dropout)
-        return loss_fn(forward(model, x), labels).value
-
-    worst = 0.0
-    for arrays, grads in ((work_w, grads_w), (work_b, grads_b)):
-        for arr, grad in zip(arrays, grads):
-            it = np.nditer(arr, flags=["multi_index"])
-            for _ in it:
-                i = it.multi_index
-                orig = arr[i]
-                arr[i] = orig + eps
-                f_plus = value()
-                arr[i] = orig - eps
-                f_minus = value()
-                arr[i] = orig
-                fd = (f_plus - f_minus) / (2.0 * eps)
-                denom = max(abs(fd), abs(grad[i]), 1e-6)
-                worst = max(worst, abs(fd - grad[i]) / denom)
-    return worst
-
-
 def net_to_dict(net: Mlp) -> dict:
     """JSON-ready parameter dump: widths, dropout, row-major weights, biases."""
     return {

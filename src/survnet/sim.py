@@ -22,12 +22,12 @@ arrays.
 
 from __future__ import annotations
 
-import math
+import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import SurvivalDataset
+from .dataset import SurvivalDataset, _read_rows
 from .errors import SchemaError, ValidationError
 from .losses import sigmoid
 
@@ -143,18 +143,6 @@ def gammas_from_latent(latent) -> GammaSet:
     g[:, 7] = 5.0 * x[:, 7]
     g[:, 8] = 5.0 * x[:, 8]
     return GammaSet(g)
-
-
-def logit_hazard(gammas: GammaSet, t):
-    """Mixture logit hazard at time(s) t, one row per individual.
-
-    The three components are a sine wave, a constant and a ramp that falls
-    from -10 at time zero; the softmax weights blend them.
-    """
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    out = np.empty((gammas.gamma.shape[0], t_arr.shape[0]))
-    _logit_hazard_into(gammas.gamma, gammas.alpha, t_arr, out, np.empty_like(out))
-    return out[:, 0] if np.ndim(t) == 0 else out
 
 
 def _logit_hazard_into(g, a, t, out, scratch):
@@ -318,15 +306,17 @@ def load_truth_csv(path):
     exact curves bit for bit; metrics.mse_vs_truth does so block by block.
     """
     with open(path, newline="") as fh:
-        header = fh.readline().strip()
-        if not header:
+        fields = next(csv.reader(fh), None)
+        if not fields:
             raise SchemaError(f"{path}: empty truth file")
-        fields = header.split(",")
         if fields[0] != TRUTH_LAYOUT:
             raise SchemaError(f"{path}: unrecognised truth file header {fields[0][:40]!r}")
         times = _latent_layout_times(fields[1:], path)
-        latent = _read_truth_rows(fh, N_LATENT, path)
-        return times, gammas_from_latent(latent)
+        latent = _read_rows(fh, N_LATENT, path, SchemaError)
+    finite = np.isfinite(latent).all(axis=1)
+    if not finite.all():
+        raise SchemaError(f"{path}: row {np.argmin(finite) + 1} has a non-finite value")
+    return times, gammas_from_latent(latent)
 
 
 def _latent_layout_times(fields, path) -> np.ndarray:
@@ -344,24 +334,3 @@ def _latent_layout_times(fields, path) -> np.ndarray:
     if not (np.isfinite(t_max) and t_max > 0):
         raise SchemaError(f"{path}: t_max must be positive and finite, got {t_max!r}")
     return fine_times(n_steps, t_max)
-
-
-def _read_truth_rows(fh, width: int, path) -> np.ndarray:
-    """The data rows as an (n, width) array; rows are numbered from 1."""
-    rows = []
-    for rownum, line in enumerate(fh, start=1):
-        fields = line.strip().split(",")
-        if fields == [""]:
-            continue
-        if len(fields) != width:
-            raise SchemaError(f"{path}: row {rownum} has {len(fields)} values, expected {width}")
-        try:
-            values = [float(v) for v in fields]
-        except ValueError as exc:
-            raise SchemaError(f"{path}: row {rownum}: {exc}") from None
-        if not all(map(math.isfinite, values)):
-            raise SchemaError(f"{path}: row {rownum} has a non-finite value")
-        rows.append(values)
-    if not rows:
-        raise SchemaError(f"{path}: truth file has no data rows")
-    return np.array(rows)

@@ -11,7 +11,9 @@ which evaluates the library's curves; ``reference_evaluate``, the curve
 reading that rebuilds its table and allocates every temporary on each call,
 which uses the library's interval lookup; and ``calibrate_censor_hazard``,
 the bisection that fixed the simulator's default censoring hazard by running
-the simulator.
+the simulator; ``gradient_check``, the central-difference check of the
+network's forward and backward passes; and ``logit_hazard``, which evaluates
+the simulator's logit-hazard kernel at given times.
 
 The ``verbatim_*`` functions are the library's allocating kernels copied
 unchanged apart from their names: ``verbatim_sigmoid``,
@@ -563,6 +565,59 @@ def reference_fit(net, loss_fn, train_x, train_labels, val_x, val_labels, cfg):
                 break
     trained = net_mod.Mlp(tuple(best_params[:n_w]), tuple(best_params[n_w:]), net.dropout)
     return trained, log
+
+
+def gradient_check(net, loss_fn, x, labels, eps: float = 1e-5) -> float:
+    """Largest relative disagreement between backprop and central differences.
+
+    Runs the network in evaluation mode (no dropout), perturbs every parameter
+    coordinate by +-eps and compares (f+ - f-) / (2 eps) against the
+    reverse-mode gradient. The relative error uses the larger of the two
+    magnitudes, floored at 1e-6.
+    """
+    from survnet import net as net_mod
+
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    out, cache = net_mod._forward_cached(net, x, training=False, rng=None)
+    grads_w, grads_b = net_mod.backward(net, cache, loss_fn(out, labels).grad)
+    work_w = [w.copy() for w in net.weights]
+    work_b = [b.copy() for b in net.biases]
+
+    def value():
+        model = net_mod.Mlp(tuple(work_w), tuple(work_b), net.dropout)
+        return loss_fn(net_mod.forward(model, x), labels).value
+
+    worst = 0.0
+    for arrays, grads in ((work_w, grads_w), (work_b, grads_b)):
+        for arr, grad in zip(arrays, grads):
+            it = np.nditer(arr, flags=["multi_index"])
+            for _ in it:
+                i = it.multi_index
+                orig = arr[i]
+                arr[i] = orig + eps
+                f_plus = value()
+                arr[i] = orig - eps
+                f_minus = value()
+                arr[i] = orig
+                fd = (f_plus - f_minus) / (2.0 * eps)
+                denom = max(abs(fd), abs(grad[i]), 1e-6)
+                worst = max(worst, abs(fd - grad[i]) / denom)
+    return worst
+
+
+def logit_hazard(gammas, t):
+    """Mixture logit hazard at time(s) t, one row per individual.
+
+    The three components are a sine wave, a constant and a ramp that falls
+    from -10 at time zero; the softmax weights blend them. Evaluated by the
+    simulator's own kernel, ``sim._logit_hazard_into``.
+    """
+    from survnet import sim
+
+    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+    out = np.empty((gammas.gamma.shape[0], t_arr.shape[0]))
+    sim._logit_hazard_into(gammas.gamma, gammas.alpha, t_arr, out, np.empty_like(out))
+    return out[:, 0] if np.ndim(t) == 0 else out
 
 
 def _reference_hazard(gamma, times):

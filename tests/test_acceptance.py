@@ -30,11 +30,12 @@ from survnet.losses import (
     sigmoid,
     softplus,
 )
-from survnet.net import TrainConfig, fit, forward, gradient_check, init_mlp
+from survnet.net import TrainConfig, fit, forward, init_mlp
 from survnet.sim import SimConfig, generate_dataset
 from survnet.dataset import SurvivalDataset
 
 from oracles import (
+    gradient_check,
     km_product_limit,
     km_quantile_search,
     logistic_hazard_nll_naive,

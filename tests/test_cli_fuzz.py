@@ -1,0 +1,169 @@
+"""Damaged inputs through the command line, in process.
+
+A dataset CSV, a truth file, a model file of each method and a fit config
+are cut short, have bytes changed or deleted, or get tokens inserted that
+readers trip on. Every command run on them must exit 0, 1 or 2 with at most
+one line on stderr and no traceback; on exit 0 every report, model and log
+written must be strict JSON and every curves file must hold survival values
+in [0, 1]. The cases come from one fixed seed, so a run repeats exactly.
+"""
+
+import csv
+import json
+import math
+import re
+
+import numpy as np
+import pytest
+
+from survnet import cli
+
+N_CASES = 300
+# the last two are the non-finite literals json.load accepts
+TOKENS = [
+    b"nan", b"inf", b"-inf", b"1e400", b"\n", b"\r\n", b"\n\n", b'"', b",", b"-", b"null",
+    b"[]", b"NaN", b"Infinity",
+]
+SMALL_FIT = ["--m", "5", "--width", "8", "--depth", "1", "--max-epochs", "2", "--patience", "1"]
+
+
+NUMBER = re.compile(rb"-?[0-9][0-9.eE+-]*")
+
+
+def damage(data: bytes, rng) -> bytes:
+    """One to three truncations, byte edits, deletions, token insertions or
+    numbers replaced by a token."""
+    for _ in range(rng.integers(1, 4)):
+        pos = int(rng.integers(0, len(data) + 1))
+        token = TOKENS[rng.integers(0, len(TOKENS))]
+        kind = rng.integers(0, 5)
+        numbers = list(NUMBER.finditer(data))
+        if kind == 0:
+            data = data[:pos]
+        elif kind == 1 and pos < len(data):
+            data = data[:pos] + bytes([rng.integers(0, 256)]) + data[pos + 1 :]
+        elif kind == 2:
+            data = data[:pos] + data[pos + int(rng.integers(1, 8)) :]
+        elif kind == 3 or not numbers:
+            data = data[:pos] + token + data[pos:]
+        else:
+            number = numbers[rng.integers(0, len(numbers))]
+            data = data[: number.start()] + token + data[number.end() :]
+    return data
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """Clean files: train, val and test data with truth, a model per method, a config."""
+    root = tmp_path_factory.mktemp("fuzz_inputs")
+    files = {}
+    for name, n, seed in (("train", 120, 1), ("val", 80, 2), ("test", 60, 3)):
+        files[name], files[f"{name}_truth"] = root / f"{name}.csv", root / f"{name}_truth.csv"
+        assert cli.main([
+            "simulate", "--n", str(n), "--seed", str(seed),
+            "--out", str(files[name]), "--truth", str(files[f"{name}_truth"]),
+        ]) == 0
+    for method in cli.METHODS:
+        files[method] = root / f"{method}.json"
+        assert cli.main([
+            "fit", "--method", method, "--train", str(files["train"]),
+            "--val", str(files["val"]), "--out", str(files[method]), *SMALL_FIT,
+        ]) == 0
+    files["config"] = root / "config.json"
+    files["config"].write_text(json.dumps({
+        "method": "pc-hazard", "train": str(files["train"]), "val": str(files["val"]),
+        "m": 5, "width": 8, "depth": 1, "max_epochs": 2, "patience": 1,
+    }))
+    return files
+
+
+def commands(target, damaged, files, out):
+    """The command lines that read the damaged file in place of the clean one."""
+    model = str(files["pmf"])
+    evaluate = ["evaluate", "--model", model, "--data", str(files["test"]),
+                "--truth", str(files["test_truth"]), "--out", str(out["report"])]
+    if target == "config":
+        return [["fit", "--config", str(damaged), "--out", str(out["model"]),
+                 "--log", str(out["log"])]]
+    if target == "test_truth":
+        return [["evaluate", "--model", model, "--data", str(files["test"]),
+                 "--truth", str(damaged), "--out", str(out["report"])]]
+    if target in cli.METHODS:
+        return [
+            ["predict", "--model", str(damaged), "--data", str(files["test"]),
+             "--num-times", "20", "--out", str(out["curves"])],
+            [*evaluate[:2], str(damaged), *evaluate[3:]],
+        ]
+    # a dataset: as training data, and as the data predicted and scored
+    return [
+        ["fit", "--train", str(damaged), "--val", str(files["val"]), *SMALL_FIT,
+         "--out", str(out["model"]), "--log", str(out["log"])],
+        ["predict", "--model", model, "--data", str(damaged), "--num-times", "20",
+         "--out", str(out["curves"])],
+        ["evaluate", "--model", model, "--data", str(damaged), "--out", str(out["report"])],
+    ]
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def check_outputs(out):
+    """Problems with what a successful run wrote, as a list of strings."""
+    problems = []
+    for name in ("report", "model"):
+        if out[name].exists():
+            try:
+                json.loads(out[name].read_text(), parse_constant=_reject_constant)
+            except ValueError as exc:
+                problems.append(f"{name} is not strict JSON: {exc}")
+    if out["log"].exists():
+        for line in out["log"].read_text().splitlines():
+            try:
+                json.loads(line, parse_constant=_reject_constant)
+            except ValueError as exc:
+                problems.append(f"log is not strict JSON: {exc}")
+    if out["curves"].exists():
+        with open(out["curves"], newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        values = [float(v) for row in rows for v in row[1:]]
+        if not all(0.0 <= v <= 1.0 for v in values):
+            problems.append("curves hold a value outside [0, 1]")
+        if not all(math.isfinite(float(row[0])) for row in rows):
+            problems.append("curves hold a non-finite time")
+    return problems
+
+
+def test_damaged_inputs_exit_cleanly(inputs, tmp_path, capsys):
+    rng = np.random.default_rng(20261019)
+    targets = ["train", "test", "test_truth", *cli.METHODS, "config"]
+    out = {name: tmp_path / f"out.{name}" for name in ("report", "model", "log", "curves")}
+    failures, exits = [], []
+    for case in range(N_CASES):
+        target = targets[case % len(targets)]
+        original = inputs[target].read_bytes()
+        damaged = tmp_path / f"damaged{inputs[target].suffix}"
+        damaged.write_bytes(damage(original, rng))
+        for argv in commands(target, damaged, inputs, out):
+            for path in out.values():
+                path.unlink(missing_ok=True)
+            capsys.readouterr()
+            try:
+                code = cli.main(argv)
+            except BaseException as exc:  # noqa: BLE001 - an escape is the finding
+                failures.append((case, argv[0], target, f"raised {exc!r}"))
+                continue
+            err = capsys.readouterr().err
+            exits.append(code)
+            problems = []
+            if code not in (0, 1, 2):
+                problems.append(f"exit {code}")
+            if err.count("\n") > 1 or "Traceback" in err:
+                problems.append(f"stderr {err!r}")
+            if code == 0:
+                problems += check_outputs(out)
+            if problems:
+                failures.append((case, argv[0], target, problems))
+    assert not failures, failures[:5]
+    # the damage must leave some runs succeeding and make others fail
+    assert 0 < exits.count(0) < len(exits)

@@ -92,6 +92,18 @@ class TestPcHazardCurve:
         with pytest.raises(ValidationError, match="hazard masses must be nonnegative"):
             pc_hazard_curve(eta, GRID2)
 
+    def test_width_must_match_the_grid(self):
+        with pytest.raises(ValidationError, match="grid has 2 intervals"):
+            pc_hazard_curve([0.5, 1.0, 0.2], GRID2)
+
+    def test_equals_the_checked_constructor(self):
+        rng = np.random.default_rng(5)
+        eta = np.concatenate([rng.uniform(0, 3, (30, 2)), [[0.0, 0.0], [np.inf, 1.0]]])
+        curve = pc_hazard_curve(eta, GRID2)
+        built = SurvivalCurve(GRID2, np.exp(-np.cumsum(eta, axis=1)), "pc-hazard", eta)
+        for got, want in ((curve.values, built.values), (curve.eta, built.eta)):
+            assert got.tobytes() == want.tobytes() and not got.flags.writeable
+
 
 class TestInterpolate:
     def test_cdi_linear_midpoint(self):
@@ -127,6 +139,22 @@ class TestInterpolate:
     def test_unknown_scheme(self):
         with pytest.raises(ValidationError):
             SurvivalCurve(GRID2, [0.8, 0.4]).with_kind("cubic").evaluate(5.0)
+
+    def test_pc_hazard_needs_masses(self):
+        with pytest.raises(ValidationError, match="without hazard masses"):
+            SurvivalCurve(GRID2, [0.8, 0.4]).with_kind("pc-hazard")
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_with_kind_equals_the_checked_constructor(self, kind):
+        pc = pc_hazard_curve([[0.5, 1.0], [0.0, 2.0]], GRID2)
+        for curve in (pc, pc.with_kind("step")):
+            got = curve.with_kind(kind)
+            want = SurvivalCurve(GRID2, curve.values, kind, curve.eta)
+            assert (got.grid, got.kind) == (want.grid, want.kind)
+            assert got.values.tobytes() == want.values.tobytes()
+            assert got.eta.tobytes() == want.eta.tobytes()
+            assert np.array_equal(got.evaluate([0.0, 5.0, 15.0, 30.0]),
+                                  want.evaluate([0.0, 5.0, 15.0, 30.0]))
 
 
 class TestMonotonicityAndIdentity:
@@ -180,6 +208,11 @@ class TestSurvivalCurveContainer:
     def test_pc_kind_needs_consistent_masses(self):
         with pytest.raises(ValidationError):
             SurvivalCurve(GRID2, [0.9, 0.8], kind="pc-hazard", eta=[1.0, 1.0])
+
+    def test_masses_given_to_any_kind_are_checked(self):
+        # with_kind reuses the masses unchecked, so every kind checks them
+        with pytest.raises(ValidationError, match="inconsistent"):
+            SurvivalCurve(GRID2, [0.9, 0.8], kind="step", eta=[1.0, 1.0])
 
     def test_step_evaluation_right_continuous(self):
         curve = SurvivalCurve(GRID2, [0.8, 0.4])

@@ -75,6 +75,8 @@ class TestLoadCsv:
         np.testing.assert_array_equal(back.events, result.data.events)
         np.testing.assert_array_equal(back.covariates, result.data.covariates)
         assert back.covariate_names == result.data.covariate_names
+        # row-major, as matmuls on the simulated covariates see them
+        assert back.covariates.flags.c_contiguous
 
     def test_bytes_equal_csv_writer_output(self, tmp_path):
         durations = [0.1, 1e-300, 12.5, 1e16, 1 / 3]
@@ -103,6 +105,8 @@ GARBLE = [
     "nan", "inf", "-inf", "1e999", "1_0", "0x1", "\ufeff", "\x0c", "\x0b", "\x1c",
     "\x00", "\u2028", "\u0661",
 ]
+TRUTH_HEADER = f"{sim.TRUTH_LAYOUT},n_steps=10,t_max=1.0"
+LATENT_ROW = ",".join(["0.5"] * sim.N_LATENT)
 NUMBERS = st.one_of(
     st.sampled_from([0.0, -0.0, 1.5, 1e-300, 1e16, 1 / 3, 5e-324]),
     st.floats(0.0, 100.0),
@@ -117,6 +121,19 @@ def csv_texts(draw):
         row = [draw(NUMBERS), draw(st.sampled_from([0, 1, 1.0])),
                *(draw(st.floats(-1e6, 1e6)) for _ in range(p))]
         lines.append(",".join(map(repr, row)))
+    return garble(draw, lines)
+
+
+@st.composite
+def truth_texts(draw):
+    lines = [TRUTH_HEADER]
+    for _ in range(draw(st.integers(1, 5))):
+        lines.append(",".join(repr(draw(st.floats(-1.0, 1.0))) for _ in range(sim.N_LATENT)))
+    return garble(draw, lines)
+
+
+def garble(draw, lines):
+    """The lines joined and ended as drawn, then up to three GARBLE edits."""
     text = draw(st.sampled_from(["\n", "\r\n"])).join(lines) + draw(st.sampled_from(["\n", ""]))
     edits = draw(st.lists(
         st.tuples(st.integers(0, 10**6), st.sampled_from(GARBLE), st.integers(0, 3)), max_size=3
@@ -127,14 +144,36 @@ def csv_texts(draw):
     return text, not edits
 
 
-def load_outcome(path):
+def outcome(load, path):
+    """What loading gives: the arrays' bytes and layout, or the error raised."""
     try:
-        data = load_csv(path)
+        result = load(path)
     except Exception as exc:  # noqa: BLE001 - the outcome is compared, not handled
         return type(exc), str(exc)
-    arrays = (data.durations, data.events, data.covariates)
+    if isinstance(result, SurvivalDataset):
+        arrays, names = (result.durations, result.events, result.covariates), result.covariate_names
+    else:
+        (times, gammas), names = result, None
+        arrays = (times, gammas.gamma)
     layout = tuple((a.shape, a.dtype, a.flags.c_contiguous) for a in arrays)
-    return tuple(a.tobytes() for a in arrays), layout, data.covariate_names
+    return tuple(a.tobytes() for a in arrays), layout, names
+
+
+def assert_fast_path_equals_the_row_parser(tmp_path_factory, case, load, width):
+    """Loading with and without ``np.loadtxt`` gives the same result or error."""
+    text, plain = case
+    path = tmp_path_factory.getbasetemp() / "garbled.csv"
+    path.write_bytes(text.encode("utf-8"))
+    fast = outcome(load, path)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dataset, "_parse_plain", lambda *args: None)
+        slow = outcome(load, path)
+    assert fast == slow
+    if plain:
+        # an untouched file of plain numbers takes the fast path
+        with open(path, newline="") as fh:
+            header = next(csv.reader(fh))
+            assert dataset._parse_plain(fh, width or len(header)) is not None
 
 
 class TestLoadCsvFastPath:
@@ -147,19 +186,20 @@ class TestLoadCsvFastPath:
     @example(case=("duration,event,x0\n1.0,1,0.5\n   \n", False))
     @example(case=("duration,event,x0\n", False))
     def test_fast_path_equals_the_row_parser(self, tmp_path_factory, case):
-        text, plain = case
-        path = tmp_path_factory.getbasetemp() / "garbled.csv"
-        path.write_bytes(text.encode("utf-8"))
-        fast = load_outcome(path)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(dataset, "_parse_plain", lambda *args: None)
-            slow = load_outcome(path)
-        assert fast == slow
-        if plain:
-            # an untouched file of plain numbers takes the fast path
-            with open(path, newline="") as fh:
-                header = next(csv.reader(fh))
-                assert dataset._parse_plain(fh, len(header), 0, 1) is not None
+        assert_fast_path_equals_the_row_parser(tmp_path_factory, case, load_csv, None)
+
+    @settings(max_examples=150)
+    @given(case=truth_texts())
+    # a blank line, a quoted field, CRLF line ends, a trailing comma, no rows
+    @example(case=(f"{TRUTH_HEADER}\n{LATENT_ROW}\n\n{LATENT_ROW}\n", False))
+    @example(case=(f'{TRUTH_HEADER}\n"0.5",{LATENT_ROW[4:]}\n', False))
+    @example(case=(f"{TRUTH_HEADER}\r\n{LATENT_ROW}\r\n{LATENT_ROW}\r\n", True))
+    @example(case=(f"{TRUTH_HEADER}\n{LATENT_ROW},\n", False))
+    @example(case=(f"{TRUTH_HEADER}\n", False))
+    def test_truth_fast_path_equals_the_row_parser(self, tmp_path_factory, case):
+        assert_fast_path_equals_the_row_parser(
+            tmp_path_factory, case, sim.load_truth_csv, sim.N_LATENT
+        )
 
     def test_undecodable_bytes_raise_as_before(self, tmp_path):
         path = tmp_path / "latin1.csv"

@@ -180,6 +180,8 @@ class TestLocate:
             locate_times(-1, self.grid)
         with pytest.raises(ValidationError):
             locate_times([5, -1e-300], self.grid)
+        with pytest.raises(ValidationError):
+            locate_times([5, np.nan], self.grid)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
@@ -197,6 +199,11 @@ class TestDiscreteLabels:
     def test_event_requires_positive_index(self):
         with pytest.raises(ValidationError):
             DiscreteLabels([0], [1], [0.5])
+
+    @pytest.mark.parametrize("frac", [-0.1, 1.5, np.nan])
+    def test_fraction_outside_unit_interval_rejected(self, frac):
+        with pytest.raises(ValidationError, match="fractions"):
+            DiscreteLabels([1, 2], [1, 0], [0.5, frac])
 
     def test_take(self):
         labels = DiscreteLabels([1, 2, 3], [1, 0, 1], [0.5, 1.0, 0.25])

@@ -27,6 +27,16 @@ class TestFit:
         with pytest.raises(ValidationError):
             km.fit([], [])
 
+    @pytest.mark.parametrize("bad", [-1.0, np.nan])
+    def test_negative_or_nan_duration_rejected(self, bad):
+        with pytest.raises(ValidationError, match="nonnegative"):
+            km.fit([1.0, bad], [1, 0])
+
+    @pytest.mark.parametrize("surv", [[0.5, 1.5], [-0.1, -0.2], [0.5, np.nan], [np.nan, 0.5]])
+    def test_curve_rejects_survival_outside_unit_interval(self, surv):
+        with pytest.raises(ValidationError, match="within"):
+            km.KaplanMeierCurve(np.array([1.0, 2.0]), np.array(surv))
+
     def test_ties_events_before_censorings(self):
         # the censoring at t=2 stays at risk for the event at t=2
         curve = km.fit([1, 2, 2, 3], [1, 1, 0, 1])
@@ -64,6 +74,13 @@ class TestSurvivalAt:
         ts = np.sort(rng.uniform(0, 6, 200))
         values = km.survival_at(curve, ts)
         assert np.all(np.diff(values) <= 0)
+
+    @pytest.mark.parametrize("evaluate", [km.survival_at, km.survival_before])
+    @pytest.mark.parametrize("t", [-1.0, np.nan, [1.0, np.nan]])
+    def test_negative_or_nan_time_rejected(self, evaluate, t):
+        curve = km.fit([1, 2, 3], [1, 1, 0])
+        with pytest.raises(ValidationError, match="nonnegative"):
+            evaluate(curve, t)
 
     def test_left_limit(self):
         curve = km.fit([1, 2, 3], [1, 1, 1])

@@ -16,7 +16,6 @@ from survnet.net import (
     TrainConfig,
     fit,
     forward,
-    gradient_check,
     init_mlp,
     learning_rate_at,
     net_from_dict,
@@ -27,6 +26,7 @@ from survnet.grid import equidistant_grid, discretize
 from survnet.dataset import fit_standardizer, write_csv
 
 from oracles import (
+    gradient_check,
     reference_fit,
     verbatim_backward,
     verbatim_forward_cached,

@@ -2,8 +2,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from oracles import reference_generate_dataset
+from oracles import logit_hazard, reference_generate_dataset
 from survnet import sim
 from survnet.errors import SchemaError, ValidationError
 from survnet.sim import (
@@ -15,7 +17,6 @@ from survnet.sim import (
     gammas_from_latent,
     generate_dataset,
     load_truth_csv,
-    logit_hazard,
     true_survival,
     write_truth_csv,
 )
@@ -57,6 +58,14 @@ class TestGammaSet:
             assert logit_hazard(gammas, t)[i] == pytest.approx(expected, abs=1e-12)
 
 
+@st.composite
+def row_splits(draw):
+    """(n, a, b, seed) with n <= 300 rows and 0 <= a < b <= n."""
+    n = draw(st.integers(1, 300))
+    a = draw(st.integers(0, n - 1))
+    return n, a, draw(st.integers(a + 1, n)), draw(st.integers(0, 2**32 - 1))
+
+
 class TestTrueSurvival:
     def test_zero_hazard_is_flat_one(self):
         # scores chosen so every mixture component sits far below zero
@@ -92,6 +101,21 @@ class TestTrueSurvival:
         surv = true_survival(gammas_from_latent(rng.uniform(-1, 1, (50, 9))))
         assert np.all(surv <= 1.0)
         assert np.all(np.diff(surv, axis=1) <= 0)
+
+    @settings(max_examples=25)
+    @given(case=row_splits())
+    # splits that straddle, start or end inside the 128-row blocks
+    @example(case=(300, 1, 257, 0))
+    @example(case=(300, 127, 129, 1))
+    @example(case=(256, 128, 256, 2))
+    @example(case=(1, 0, 1, 3))
+    def test_rows_a_to_b_alone_equal_those_rows_of_all(self, case):
+        n, a, b, seed = case
+        gamma = gammas_from_latent(np.random.default_rng(seed).uniform(-1, 1, (n, 9))).gamma
+        times = fine_times()
+        whole = true_survival(GammaSet(gamma), times)
+        part = true_survival(GammaSet(gamma[a:b]), times)
+        assert part.tobytes() == whole[a:b].tobytes()
 
 
 class TestGenerateDataset:
@@ -247,6 +271,11 @@ LATENT_HEADER = f"{TRUTH_LAYOUT},n_steps=10,t_max=1.0"
         ("-1.0,-0.5\n0.9,0.8\n", "unrecognised truth file header"),
         ("0.0\n0.9\n", "unrecognised truth file header"),
         ("1.0,0.5\n0.9,0.8\n", "unrecognised truth file header"),
+        # rows are csv rows: blank lines are rejected, quotes are honoured,
+        # CRLF line ends are accepted
+        (f"{LATENT_HEADER}\n{LATENT_ROW}\n\n{LATENT_ROW}\n", "row 2 has 0 values, expected 9"),
+        (f'{LATENT_HEADER}\n"0.5,0.5",{LATENT_ROW[8:]}\n', "row 1 has 8 values, expected 9"),
+        (f"{LATENT_HEADER}\r\n{LATENT_ROW}\r\n{LATENT_ROW}\r\n", None),
     ],
     ids=[
         "empty", "unrecognised-header", "unknown-layout", "latent-no-rows",
@@ -255,10 +284,15 @@ LATENT_HEADER = f"{TRUTH_LAYOUT},n_steps=10,t_max=1.0"
         "non-integer-n_steps", "n_steps-below-one", "zero-t_max", "negative-t_max",
         "infinite-t_max", "non-numeric-t_max", "old-non-numeric", "old-ragged",
         "old-nan", "old-negative-t_max", "old-zero-t_max", "old-decreasing-times",
+        "latent-blank-line", "latent-quoted-field", "latent-crlf",
     ],
 )
 def test_malformed_truth_file_is_schema_error(tmp_path, text, message):
     path = tmp_path / "truth.csv"
     path.write_text(text)
+    if message is None:  # a well-formed variant, which loads
+        times, gammas = load_truth_csv(path)
+        np.testing.assert_array_equal(gammas.gamma, gammas_from_latent([[0.5] * 9] * 2).gamma)
+        return
     with pytest.raises(SchemaError, match=message):
         load_truth_csv(path)
