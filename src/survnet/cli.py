@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 
 import numpy as np
 
@@ -97,7 +98,6 @@ class _Parser(argparse.ArgumentParser):
     """Argparse with validation failures mapped to exit code 1."""
 
     def error(self, message):
-        self.print_usage(sys.stderr)
         raise ValidationError(message)
 
 
@@ -170,6 +170,9 @@ def load_model(path):
     for key in ("format_version", "method", "grid", "net", "standardizer"):
         if key not in doc:
             raise SchemaError(f"{path}: model file is missing {key!r}")
+    version = doc["format_version"]
+    if version != FORMAT_VERSION:
+        raise SchemaError(f"{path}: format_version {version!r} is not {FORMAT_VERSION!r}")
     if doc["method"] not in METHODS:
         raise SchemaError(f"{path}: unknown method {doc['method']!r}")
     try:
@@ -284,7 +287,11 @@ def run_fit(args) -> int:
     val = ds.load_csv(cfg["val"])
     std = ds.fit_standardizer(train)
     train_s, val_s = std.apply(train), std.apply(val)
-    time_grid = _build_grid(cfg["grid_scheme"], train, cfg["m"])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", grid_.GridDeduplicationWarning)
+        time_grid = _build_grid(cfg["grid_scheme"], train, cfg["m"])
+    for caught_warning in caught:  # e.g. the quantile grid shrank
+        print(f"warning: {caught_warning.message}", file=sys.stderr)
     train_labels = _labels_for(method, train, time_grid)
     val_labels = _labels_for(method, val, time_grid)
     widths = [train.p] + [cfg["width"]] * cfg["depth"] + [time_grid.m]
@@ -414,7 +421,7 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    except (ValidationError, SchemaError, SurvnetError) as exc:
+    except SurvnetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (OSError, UnicodeDecodeError) as exc:

@@ -205,10 +205,16 @@ class Standardizer:
 def fit_standardizer(data: SurvivalDataset) -> Standardizer:
     """Column means and population (1/n) standard deviations.
 
-    Zero-variance columns get scale 1, so constant columns map to 0.
+    Zero-variance columns get scale 1, so constant columns map to 0. A column
+    whose mean or scale overflows float64 raises ValidationError.
     """
-    means = data.covariates.mean(axis=0)
-    stds = data.covariates.std(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = data.covariates.mean(axis=0)
+        stds = data.covariates.std(axis=0)
+    finite = np.isfinite(means) & np.isfinite(stds)
+    if not finite.all():
+        name = data.covariate_names[np.argmin(finite)]
+        raise ValidationError(f"covariate {name!r} has a mean or scale that is not finite")
     stds = np.where(stds > 0, stds, 1.0)
     return Standardizer(means, stds)
 

@@ -1,28 +1,27 @@
 """Synthetic right-censored survival data from logit-hazard mixtures.
 
-Event times are drawn step by step from a per-step hazard on a fine grid of
-1000 equidistant times on (0, 100]. The logit hazard of each individual mixes
-a sinusoidal, a constant and an accelerating component; the mixture weights
-and component parameters are driven by nine latent scores. The observed
-covariates are a redundant linear encoding of those scores (five covariates
-per score, 45 in total), built so that the score is recovered exactly by a
-fixed linear map. Random censoring draws from a constant per-step hazard;
-anyone still event-free at the end of the grid is censored there. The exact
-survival curves are returned next to the data, enabling error measurement
-against the truth.
+Every dataset comes from one fixed design, held in module constants: event
+times are drawn step by step from a per-step hazard on a fine grid of N_STEPS
+= 1000 equidistant times on (0, T_MAX = 100]. The logit hazard of each
+individual mixes a sinusoidal, a constant and an accelerating component,
+driven by nine latent scores. The covariates are a redundant linear encoding
+of those scores (DEFAULT_SUBSET = 5 per score, 45 in total) whose
+coefficients only the design seed sets. Random censoring draws from a
+constant per-step hazard; anyone still event-free at the end of the grid is
+censored there. The exact survival curves are returned next to the data; a
+truth file stores the latent scores under the fixed TRUTH_HEADER.
 
 One hazard kernel serves both generate_dataset and true_survival: it works
 through the individuals in blocks of rows, reusing two preallocated block
 buffers, the first holding the logits and then the hazards, and puts every
 element through the same operations whatever the block size. The truth
 recomputed from the latent scores is therefore the simulator's truth bit for
-bit, and the memory beyond the n x n_steps truth stays a few block-sized
+bit, and the memory beyond the n x N_STEPS truth stays a few block-sized
 arrays.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,11 +41,11 @@ DEFAULT_SUBSET = 5
 DEFAULT_CENSOR_HAZARD = 0.00016113281249999998
 
 # Rows per block of the hazard kernel: each block buffer is _BLOCK_ROWS x
-# n_steps floats, 1 MB at the default grid.
+# N_STEPS floats, 1 MB.
 _BLOCK_ROWS = 128
 
-# First header field of the truth files write_truth_csv produces.
-TRUTH_LAYOUT = "survnet-truth-latent"
+# The header line of every truth file: the layout and the fine grid.
+TRUTH_HEADER = f"survnet-truth-latent,n_steps={N_STEPS},t_max={T_MAX!r}"
 
 
 @dataclass(frozen=True)
@@ -55,9 +54,6 @@ class SimConfig:
     seed: int = 0
     censor_hazard: float = DEFAULT_CENSOR_HAZARD
     design_seed: int = 0
-    n_steps: int = N_STEPS
-    t_max: float = T_MAX
-    subset_size: int = DEFAULT_SUBSET
 
     def __post_init__(self):
         if self.n < 1:
@@ -66,16 +62,11 @@ class SimConfig:
             raise ValidationError("seed and design_seed must be nonnegative")
         if not 0.0 <= self.censor_hazard < 1.0:
             raise ValidationError("censor_hazard must lie in [0, 1)")
-        if self.n_steps < 1 or self.t_max <= 0:
-            raise ValidationError("the fine grid needs n_steps >= 1 and t_max > 0")
-        if self.subset_size < 1:
-            raise ValidationError("subset_size must be at least 1")
-        # The truth and the covariates are n rows of float64; numpy cannot
-        # address an array of more bytes than its index type holds.
-        width = max(int(self.n_steps), N_LATENT * int(self.subset_size))
-        if int(self.n) * width * 8 > np.iinfo(np.intp).max:
+        # The truth is n rows of N_STEPS float64; numpy cannot address an
+        # array of more bytes than its index type holds.
+        if int(self.n) * N_STEPS * 8 > np.iinfo(np.intp).max:
             raise ValidationError(
-                f"n = {self.n} is too large for arrays of n x {width} floats"
+                f"n = {self.n} is too large for arrays of n x {N_STEPS} floats"
             )
 
 
@@ -106,20 +97,11 @@ class GammaSet:
 
 
 @dataclass(frozen=True)
-class LatentDesign:
-    """Latent scores, shared encoding coefficients and encoded covariates."""
-
-    latent: np.ndarray
-    coef: np.ndarray
-    covariates: np.ndarray
-
-
-@dataclass(frozen=True)
 class SimResult:
     data: SurvivalDataset
     truth: np.ndarray
     times: np.ndarray
-    design: LatentDesign
+    latent: np.ndarray
     gammas: GammaSet
 
     @property
@@ -203,14 +185,14 @@ def true_survival(gammas: GammaSet, times=None) -> np.ndarray:
     return out
 
 
-def design_coefficients(design_seed: int, subset_size: int = DEFAULT_SUBSET) -> np.ndarray:
+def design_coefficients(design_seed: int) -> np.ndarray:
     """Standard-normal encoding coefficients, fixed by the design seed.
 
     Datasets generated with different draw seeds but the same design seed share
     this map, so train and test sets describe the same covariate relationship.
     """
     rng = np.random.default_rng(np.random.SeedSequence(design_seed))
-    return rng.standard_normal((N_LATENT, subset_size))
+    return rng.standard_normal((N_LATENT, DEFAULT_SUBSET))
 
 
 def _encode_covariates(latent, coef, u):
@@ -223,13 +205,10 @@ def _encode_covariates(latent, coef, u):
     n, q = latent.shape
     s = coef.shape[1]
     x = np.empty((n, q, s))
-    if s == 1:
-        x[:, :, 0] = latent / coef[None, :, 0]
-    else:
-        x[:, :, 0] = (latent - u[:, :, 0]) / coef[None, :, 0]
-        for k in range(1, s - 1):
-            x[:, :, k] = (u[:, :, k - 1] - u[:, :, k]) / coef[None, :, k]
-        x[:, :, s - 1] = u[:, :, s - 2] / coef[None, :, s - 1]
+    x[:, :, 0] = (latent - u[:, :, 0]) / coef[None, :, 0]
+    for k in range(1, s - 1):
+        x[:, :, k] = (u[:, :, k - 1] - u[:, :, k]) / coef[None, :, k]
+    x[:, :, s - 1] = u[:, :, s - 2] / coef[None, :, s - 1]
     return x.reshape(n, q * s)
 
 
@@ -246,19 +225,19 @@ def generate_dataset(cfg: SimConfig) -> SimResult:
     event_rng = np.random.default_rng(event_ss)
     cens_rng = np.random.default_rng(cens_ss)
 
-    coef = design_coefficients(cfg.design_seed, cfg.subset_size)
+    coef = design_coefficients(cfg.design_seed)
     latent = cov_rng.uniform(-1.0, 1.0, size=(cfg.n, N_LATENT))
-    u = cov_rng.uniform(-1.0, 1.0, size=(cfg.n, N_LATENT, max(cfg.subset_size - 1, 0)))
+    u = cov_rng.uniform(-1.0, 1.0, size=(cfg.n, N_LATENT, DEFAULT_SUBSET - 1))
     covariates = _encode_covariates(latent, coef, u)
     gammas = gammas_from_latent(latent)
-    times = fine_times(cfg.n_steps, cfg.t_max)
+    times = fine_times()
 
     durations = np.empty(cfg.n)
     events = np.empty(cfg.n, dtype=int)
-    truth = np.empty((cfg.n, cfg.n_steps))
+    truth = np.empty((cfg.n, N_STEPS))
     # Each stream fills its block buffer in row-major order, so the draws are
     # the same whatever the block size.
-    uniforms = np.empty((min(_BLOCK_ROWS, cfg.n), cfg.n_steps))
+    uniforms = np.empty((min(_BLOCK_ROWS, cfg.n), N_STEPS))
     hits = np.empty(uniforms.shape, dtype=bool)
     for lo, hi, h in _survival_blocks(gammas, times, truth):
         u, hit = uniforms[: hi - lo], hits[: hi - lo]
@@ -266,13 +245,12 @@ def generate_dataset(cfg: SimConfig) -> SimResult:
         t_cens = _first_hit_time(
             np.less(cens_rng.random(out=u), cfg.censor_hazard, out=hit), times
         )
-        t_cens = np.minimum(t_cens, cfg.t_max)
+        t_cens = np.minimum(t_cens, T_MAX)
         durations[lo:hi] = np.minimum(t_event, t_cens)
         events[lo:hi] = t_event <= t_cens
 
     data = SurvivalDataset(durations, events, covariates)
-    design = LatentDesign(latent, coef, covariates)
-    return SimResult(data, truth, times, design, gammas)
+    return SimResult(data, truth, times, latent, gammas)
 
 
 def _first_hit_time(hits, times) -> np.ndarray:
@@ -281,56 +259,37 @@ def _first_hit_time(hits, times) -> np.ndarray:
 
 
 def write_truth_csv(path, result: SimResult) -> None:
-    """Store the truth as the fine-grid spec plus nine latent scores per row.
+    """Store the truth as TRUTH_HEADER, then nine latent scores per row.
 
-    The header reads ``survnet-truth-latent,n_steps=N,t_max=T``; every row
-    holds one individual's latent scores in shortest round-trip repr, from
-    which load_truth_csv recomputes the exact survival curves bit for bit.
+    Every row holds one individual's latent scores in shortest round-trip
+    repr, from which load_truth_csv recomputes the exact survival curves bit
+    for bit.
     """
-    times = np.asarray(result.times, dtype=float)
-    n_steps, t_max = times.shape[0], float(times[-1])
-    if not np.array_equal(times, fine_times(n_steps, t_max)):
+    if not np.array_equal(result.times, fine_times()):
         raise ValidationError("truth times must be the fine grid t_max/n_steps, ..., t_max")
     with open(path, "w", newline="") as fh:
-        fh.write(f"{TRUTH_LAYOUT},n_steps={n_steps},t_max={t_max!r}\n")
-        for row in result.design.latent.tolist():
+        fh.write(TRUTH_HEADER + "\n")
+        for row in result.latent.tolist():
             fh.write(",".join(map(repr, row)) + "\n")
 
 
 def load_truth_csv(path):
     """Read a truth file as (fine-grid times, GammaSet), holding no curve matrix.
 
-    The file must be one write_truth_csv produced: a ``survnet-truth-latent``
-    header, then latent scores, mapped to the hazard parameters. Anything
-    else raises SchemaError. true_survival(gammas, times) recomputes the
-    exact curves bit for bit; metrics.mse_vs_truth does so block by block.
+    The file must be one write_truth_csv produced: TRUTH_HEADER, then latent
+    scores, mapped to the hazard parameters. Anything else raises
+    SchemaError. true_survival(gammas, times) recomputes the exact curves bit
+    for bit; metrics.mse_vs_truth does so block by block.
     """
     with open(path, newline="") as fh:
-        fields = next(csv.reader(fh), None)
-        if not fields:
+        header = fh.readline()
+        if not header:
             raise SchemaError(f"{path}: empty truth file")
-        if fields[0] != TRUTH_LAYOUT:
-            raise SchemaError(f"{path}: unrecognised truth file header {fields[0][:40]!r}")
-        times = _latent_layout_times(fields[1:], path)
+        header = header.rstrip("\r\n")
+        if header != TRUTH_HEADER:
+            raise SchemaError(f"{path}: unrecognised truth file header {header[:40]!r}")
         latent = _read_rows(fh, N_LATENT, path, SchemaError)
     finite = np.isfinite(latent).all(axis=1)
     if not finite.all():
         raise SchemaError(f"{path}: row {np.argmin(finite) + 1} has a non-finite value")
-    return times, gammas_from_latent(latent)
-
-
-def _latent_layout_times(fields, path) -> np.ndarray:
-    spec = dict(field.partition("=")[::2] for field in fields)
-    if len(spec) != len(fields) or set(spec) != {"n_steps", "t_max"}:
-        raise SchemaError(f"{path}: truth header needs exactly n_steps=... and t_max=...")
-    try:
-        n_steps, t_max = int(spec["n_steps"]), float(spec["t_max"])
-    except ValueError:
-        raise SchemaError(
-            f"{path}: truth header needs an integer n_steps and a numeric t_max"
-        ) from None
-    if n_steps < 1:
-        raise SchemaError(f"{path}: n_steps must be at least 1, got {n_steps}")
-    if not (np.isfinite(t_max) and t_max > 0):
-        raise SchemaError(f"{path}: t_max must be positive and finite, got {t_max!r}")
-    return fine_times(n_steps, t_max)
+    return fine_times(), gammas_from_latent(latent)

@@ -620,7 +620,7 @@ def logit_hazard(gammas, t):
     return out[:, 0] if np.ndim(t) == 0 else out
 
 
-def _reference_hazard(gamma, times):
+def reference_hazard(gamma, times):
     """Per-step event probability, one array per operation as the simulator had it."""
     g = gamma
     e = np.exp(g[:, 6:9] - g[:, 6:9].max(axis=1, keepdims=True))
@@ -645,19 +645,19 @@ def reference_generate_dataset(cfg, block=4096):
     cov_rng = np.random.default_rng(cov_ss)
     event_rng = np.random.default_rng(event_ss)
     cens_rng = np.random.default_rng(cens_ss)
-    coef = sim.design_coefficients(cfg.design_seed, cfg.subset_size)
+    coef = sim.design_coefficients(cfg.design_seed)
     latent = cov_rng.uniform(-1.0, 1.0, size=(cfg.n, sim.N_LATENT))
-    u = cov_rng.uniform(-1.0, 1.0, size=(cfg.n, sim.N_LATENT, max(cfg.subset_size - 1, 0)))
+    u = cov_rng.uniform(-1.0, 1.0, size=(cfg.n, sim.N_LATENT, sim.DEFAULT_SUBSET - 1))
     covariates = sim._encode_covariates(latent, coef, u)
     gamma = sim.gammas_from_latent(latent).gamma
-    times = sim.fine_times(cfg.n_steps, cfg.t_max)
+    times = sim.fine_times()
 
     durations = np.empty(cfg.n)
     events = np.empty(cfg.n, dtype=int)
-    truth = np.empty((cfg.n, cfg.n_steps))
+    truth = np.empty((cfg.n, sim.N_STEPS))
     for lo in range(0, cfg.n, block):
         hi = min(lo + block, cfg.n)
-        h = _reference_hazard(gamma[lo:hi], times)
+        h = reference_hazard(gamma[lo:hi], times)
         truth[lo:hi] = np.cumprod(1.0 - h, axis=1)
         event_hits = event_rng.random(h.shape) < h
         has_event = event_hits.any(axis=1)
@@ -665,7 +665,7 @@ def reference_generate_dataset(cfg, block=4096):
         cens_hits = cens_rng.random(h.shape) < cfg.censor_hazard
         has_cens = cens_hits.any(axis=1)
         t_cens = np.where(has_cens, times[cens_hits.argmax(axis=1)], np.inf)
-        t_cens = np.minimum(t_cens, cfg.t_max)
+        t_cens = np.minimum(t_cens, sim.T_MAX)
         durations[lo:hi] = np.minimum(t_event, t_cens)
         events[lo:hi] = (t_event <= t_cens).astype(int)
     return durations, events, covariates, truth

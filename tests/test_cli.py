@@ -379,6 +379,22 @@ class TestModelFile:
                        "--data", str(pipeline["test"]), *out) == 1
         assert_one_line_error(capsys)
 
+    @pytest.mark.parametrize("command", ["evaluate", "predict"])
+    @pytest.mark.parametrize("version", ["99", 1])
+    def test_other_format_version_exits_one(
+        self, pipeline, model_text, tmp_path, capsys, command, version
+    ):
+        doc = json.loads(model_text)
+        doc["format_version"] = version
+        broken = tmp_path / "broken.json"
+        broken.write_text(json.dumps(doc))
+        out = ["--out", str(tmp_path / "curves.csv")] if command == "predict" else []
+        capsys.readouterr()
+        assert run_cli(command, "--model", str(broken),
+                       "--data", str(pipeline["test"]), *out) == 1
+        assert "format_version" in assert_one_line_error(capsys)
+        assert not (tmp_path / "curves.csv").exists()
+
     def test_unknown_flag_exits_one(self):
         assert run_cli("fit", "--frobnicate") == 1
 
@@ -460,13 +476,49 @@ PACKAGE_ROOT = str(Path(survnet.__file__).resolve().parent.parent)
 CROSS_THREAD_ATOL = 1e-12
 
 
-def run_cli_process(threads, *argv):
+def cli_process(*argv, threads=1):
     """Run ``python -m survnet.cli`` in a child pinned to a BLAS thread count."""
     path = [PACKAGE_ROOT, *filter(None, [os.environ.get("PYTHONPATH")])]
     env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), PYTHONPATH=os.pathsep.join(path))
-    proc = subprocess.run([sys.executable, "-m", "survnet.cli", *argv], env=env,
+    return subprocess.run([sys.executable, "-m", "survnet.cli", *argv], env=env,
                           capture_output=True, text=True)
+
+
+def run_cli_process(threads, *argv):
+    proc = cli_process(*argv, threads=threads)
     assert proc.returncode == 0, proc.stderr
+
+
+class TestOneLineStderr:
+    """What a child process prints on stderr, warnings included."""
+
+    @pytest.mark.parametrize("argv", [["fit", "--m", "x"], ["fit", "--bogus", "1"], []],
+                             ids=["bad-value", "unknown-flag", "no-command"])
+    def test_argument_error_is_one_line(self, argv):
+        proc = cli_process(*argv)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+
+    def test_overflowing_covariate_is_one_line_and_no_model(self, tmp_path):
+        x0 = np.where(np.arange(60) % 2, 1e200, -1e200)
+        data = SurvivalDataset(np.arange(1.0, 61.0), np.arange(60) % 2, x0[:, None])
+        train, model = tmp_path / "train.csv", tmp_path / "model.json"
+        write_csv(data, train)
+        proc = cli_process("fit", "--train", str(train), "--val", str(train), "--out", str(model))
+        assert proc.returncode == 1
+        assert proc.stderr == "error: covariate 'x0' has a mean or scale that is not finite\n"
+        assert not model.exists()
+
+    def test_grid_shrink_is_one_warning_line(self, tmp_path):
+        train, model = tmp_path / "train.csv", tmp_path / "model.json"
+        write_csv(generate_dataset(SimConfig(n=60, seed=1)).data, train)
+        proc = cli_process("fit", "--train", str(train), "--val", str(train), "--m", "50",
+                           "--max-epochs", "1", "--out", str(model))
+        assert proc.returncode == 0 and model.exists()
+        assert proc.stderr.startswith("warning: quantile grid reduced from 50 to ")
+        assert proc.stderr.count("\n") == 1, proc.stderr
+        m = json.loads(model.read_text())["net"]["widths"][-1]
+        assert f" to {m} intervals" in proc.stderr
 
 
 def subprocess_pipeline(workdir, threads, data_from=None):

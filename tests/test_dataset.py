@@ -1,4 +1,5 @@
 import csv
+import warnings
 
 import numpy as np
 import pytest
@@ -105,7 +106,7 @@ GARBLE = [
     "nan", "inf", "-inf", "1e999", "1_0", "0x1", "\ufeff", "\x0c", "\x0b", "\x1c",
     "\x00", "\u2028", "\u0661",
 ]
-TRUTH_HEADER = f"{sim.TRUTH_LAYOUT},n_steps=10,t_max=1.0"
+TRUTH_HEADER = sim.TRUTH_HEADER
 LATENT_ROW = ",".join(["0.5"] * sim.N_LATENT)
 NUMBERS = st.one_of(
     st.sampled_from([0.0, -0.0, 1.5, 1e-300, 1e16, 1 / 3, 5e-324]),
@@ -225,6 +226,18 @@ class TestStandardizer:
         once = fit_standardizer(data).apply(data)
         twice = fit_standardizer(once).apply(once)
         np.testing.assert_allclose(twice.covariates, once.covariates, atol=1e-12)
+
+    @pytest.mark.parametrize("column", [
+        np.where(np.arange(60) % 2, 1e200, -1e200),  # the square overflows the scale
+        np.full(60, 1.7e308),  # the sum overflows the mean
+    ], ids=["scale", "mean"])
+    def test_overflowing_column_is_named(self, column):
+        x = np.column_stack([np.zeros(60), column, column])
+        data = SurvivalDataset(np.ones(60), np.ones(60), x, ["a", "b", "c"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # and no numpy overflow warning
+            with pytest.raises(ValidationError, match="covariate 'b'"):
+                fit_standardizer(data)
 
     def test_dimension_mismatch(self):
         std = fit_standardizer(make_dataset(p=2))

@@ -5,14 +5,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import logit_hazard, reference_generate_dataset
+from oracles import logit_hazard, reference_generate_dataset, reference_hazard
 from survnet import sim
 from survnet.errors import SchemaError, ValidationError
 from survnet.sim import (
-    TRUTH_LAYOUT,
+    TRUTH_HEADER,
     GammaSet,
     SimConfig,
     SimResult,
+    design_coefficients,
     fine_times,
     gammas_from_latent,
     generate_dataset,
@@ -122,8 +123,8 @@ class TestGenerateDataset:
     def test_reconstruction_identity(self):
         result = generate_dataset(SimConfig(n=200, seed=4))
         x = result.data.covariates.reshape(200, 9, 5)
-        recovered = np.einsum("njk,jk->nj", x, result.design.coef)
-        np.testing.assert_allclose(recovered, result.design.latent, atol=1e-10)
+        recovered = np.einsum("njk,jk->nj", x, design_coefficients(0))
+        np.testing.assert_allclose(recovered, result.latent, atol=1e-10)
 
     def test_no_random_censoring_means_events_or_end_of_grid(self):
         result = generate_dataset(SimConfig(n=300, seed=5, censor_hazard=0.0))
@@ -154,11 +155,13 @@ class TestGenerateDataset:
         np.testing.assert_array_equal(with_cens.truth, without.truth)
 
     def test_shared_design_across_seeds(self):
-        a = generate_dataset(SimConfig(n=10, seed=1, design_seed=3))
-        b = generate_dataset(SimConfig(n=10, seed=2, design_seed=3))
-        np.testing.assert_array_equal(a.design.coef, b.design.coef)
-        c = generate_dataset(SimConfig(n=10, seed=1, design_seed=4))
-        assert not np.array_equal(a.design.coef, c.design.coef)
+        coef = design_coefficients(3)
+        for seed in (1, 2):  # one encoding for every draw seed
+            result = generate_dataset(SimConfig(n=10, seed=seed, design_seed=3))
+            x = result.data.covariates.reshape(10, 9, 5)
+            recovered = np.einsum("njk,jk->nj", x, coef)
+            np.testing.assert_allclose(recovered, result.latent, atol=1e-10)
+        assert not np.array_equal(coef, design_coefficients(4))
 
     def test_calibrated_censoring_fraction(self):
         result = generate_dataset(SimConfig(n=10000, seed=9))
@@ -171,10 +174,9 @@ class TestGenerateDataset:
             SimConfig(n=10, censor_hazard=1.5)
         with pytest.raises(ValidationError):
             SimConfig(n=10, seed=-1)
-        for kwargs in ({"n": 10**21}, {"n": 10**16}, {"n": 1, "n_steps": 2**62},
-                       {"n": 10**16, "n_steps": 1, "subset_size": 10**3}):
+        for n in (10**21, 10**16):
             with pytest.raises(ValidationError):  # more bytes than numpy can index
-                SimConfig(**kwargs)
+                SimConfig(n=n)
         with pytest.raises(ValidationError):
             SimConfig(n=10, design_seed=-1)
 
@@ -184,13 +186,19 @@ class TestBlockKernel:
         "n", [1, sim._BLOCK_ROWS - 1, sim._BLOCK_ROWS, sim._BLOCK_ROWS + 1, 4097]
     )
     @pytest.mark.parametrize(
-        "options",
-        [{}, {"censor_hazard": 0.0}, {"n_steps": 37, "t_max": 5.0}],
+        "options, grid",
+        [({}, None), ({"censor_hazard": 0.0}, None), ({}, (37, 5.0))],
         ids=["default", "no-censoring", "coarse-grid"],
     )
-    def test_bit_identical_to_the_reference_loop(self, n, options):
+    def test_bit_identical_to_the_reference_loop(self, n, options, grid):
         cfg = SimConfig(n=n, seed=n, **options)
         result = generate_dataset(cfg)
+        if grid is not None:
+            # the truth read on another grid, against the reference hazard loop
+            times = fine_times(*grid)
+            expected = np.cumprod(1.0 - reference_hazard(result.gammas.gamma, times), axis=1)
+            np.testing.assert_array_equal(true_survival(result.gammas, times), expected)
+            return
         durations, events, covariates, truth = reference_generate_dataset(cfg)
         np.testing.assert_array_equal(result.data.durations, durations)
         np.testing.assert_array_equal(result.data.events, events)
@@ -219,7 +227,7 @@ class TestTruthFile:
         np.testing.assert_array_equal(times, result.times)
         np.testing.assert_array_equal(truth, result.truth)
         lines = path.read_text().splitlines()
-        assert lines[0] == f"{TRUTH_LAYOUT},n_steps=1000,t_max=100.0"
+        assert lines[0] == TRUTH_HEADER == "survnet-truth-latent,n_steps=1000,t_max=100.0"
         assert len(lines) == 8 and all(len(line.split(",")) == 9 for line in lines[1:])
 
     def test_recomputed_truth_bit_identical_across_row_chunks(self, tmp_path):
@@ -235,13 +243,14 @@ class TestTruthFile:
     def test_grid_must_be_the_fine_grid(self, tmp_path):
         result = generate_dataset(SimConfig(n=3, seed=12))
         shifted = SimResult(result.data, result.truth, result.times + 1.0,
-                            result.design, result.gammas)
+                            result.latent, result.gammas)
         with pytest.raises(ValidationError):
             write_truth_csv(tmp_path / "truth.csv", shifted)
 
 
 LATENT_ROW = ",".join(["0.5"] * 9)
-LATENT_HEADER = f"{TRUTH_LAYOUT},n_steps=10,t_max=1.0"
+LATENT_HEADER = TRUTH_HEADER
+LAYOUT = "survnet-truth-latent"
 
 
 @pytest.mark.parametrize(
@@ -249,21 +258,24 @@ LATENT_HEADER = f"{TRUTH_LAYOUT},n_steps=10,t_max=1.0"
     [
         ("", "empty truth file"),
         ("a,b,c\n1,2,3\n", "unrecognised truth file header"),
-        (f"{TRUTH_LAYOUT}-v9,n_steps=10,t_max=1.0\n{LATENT_ROW}\n", "unrecognised"),
+        (f"{LAYOUT}-v9,n_steps=10,t_max=1.0\n{LATENT_ROW}\n", "unrecognised"),
         (f"{LATENT_HEADER}\n", "no data rows"),
         (f"{LATENT_HEADER}\n{LATENT_ROW}\n0.5,x,0,0,0,0,0,0,0\n", "row 2: could not convert"),
         (f"{LATENT_HEADER}\n{LATENT_ROW},0.5\n", "row 1 has 10 values, expected 9"),
         (f"{LATENT_HEADER}\n0.5,0.5\n", "row 1 has 2 values, expected 9"),
         (f"{LATENT_HEADER}\n{LATENT_ROW}\nnan,0,0,0,0,0,0,0,0\n", "row 2 has a non-finite"),
         (f"{LATENT_HEADER}\n{LATENT_ROW}\n0,0,0,0,inf,0,0,0,0\n", "row 2 has a non-finite"),
-        (f"{TRUTH_LAYOUT},t_max=1.0\n{LATENT_ROW}\n", "needs exactly n_steps"),
-        (f"{TRUTH_LAYOUT},n_steps=10,t_max=1.0,extra=1\n{LATENT_ROW}\n", "needs exactly"),
-        (f"{TRUTH_LAYOUT},n_steps=10.5,t_max=1.0\n{LATENT_ROW}\n", "integer n_steps"),
-        (f"{TRUTH_LAYOUT},n_steps=0,t_max=1.0\n{LATENT_ROW}\n", "n_steps must be at least 1"),
-        (f"{TRUTH_LAYOUT},n_steps=10,t_max=0.0\n{LATENT_ROW}\n", "t_max must be positive"),
-        (f"{TRUTH_LAYOUT},n_steps=10,t_max=-2\n{LATENT_ROW}\n", "t_max must be positive"),
-        (f"{TRUTH_LAYOUT},n_steps=10,t_max=inf\n{LATENT_ROW}\n", "t_max must be positive"),
-        (f"{TRUTH_LAYOUT},n_steps=10,t_max=ten\n{LATENT_ROW}\n", "integer n_steps"),
+        # the header is TRUTH_HEADER exactly; no other grid spec is read
+        (f"{LAYOUT},t_max=1.0\n{LATENT_ROW}\n", "unrecognised truth file header"),
+        (f"{LAYOUT},n_steps=10,t_max=1.0,extra=1\n{LATENT_ROW}\n",
+         "unrecognised truth file header"),
+        (f"{LAYOUT},n_steps=10.5,t_max=1.0\n{LATENT_ROW}\n", "unrecognised truth file header"),
+        (f"{LAYOUT},n_steps=0,t_max=1.0\n{LATENT_ROW}\n", "unrecognised truth file header"),
+        (f"{LAYOUT},n_steps=10,t_max=0.0\n{LATENT_ROW}\n", "unrecognised truth file header"),
+        (f"{LAYOUT},n_steps=10,t_max=-2\n{LATENT_ROW}\n", "unrecognised truth file header"),
+        (f"{LAYOUT},n_steps=10,t_max=inf\n{LATENT_ROW}\n", "unrecognised truth file header"),
+        (f"{LAYOUT},n_steps=10,t_max=ten\n{LATENT_ROW}\n", "unrecognised truth file header"),
+        (f"{LAYOUT},n_steps=10,t_max=1.0\n{LATENT_ROW}\n", "unrecognised truth file header"),
         # the layout before 0.2.0, a header of times, is no longer read
         ("0.5,1.0\n0.9,x\n", "unrecognised truth file header"),
         ("0.5,1.0\n0.9,0.8\n0.9\n", "unrecognised truth file header"),
@@ -282,7 +294,7 @@ LATENT_HEADER = f"{TRUTH_LAYOUT},n_steps=10,t_max=1.0"
         "latent-non-numeric", "latent-too-wide", "latent-too-narrow",
         "latent-nan", "latent-inf", "missing-n_steps", "unknown-key",
         "non-integer-n_steps", "n_steps-below-one", "zero-t_max", "negative-t_max",
-        "infinite-t_max", "non-numeric-t_max", "old-non-numeric", "old-ragged",
+        "infinite-t_max", "non-numeric-t_max", "other-grid", "old-non-numeric", "old-ragged",
         "old-nan", "old-negative-t_max", "old-zero-t_max", "old-decreasing-times",
         "latent-blank-line", "latent-quoted-field", "latent-crlf",
     ],
