@@ -64,9 +64,6 @@ FIT_DEFAULTS = {
     "dropout": 0.0,
     "batch_size": 256,
     "lr": 0.01,
-    "cycle": 1,
-    "cycle_mult": 2,
-    "lr_decay": 0.8,
     "weight_decay": 0.0,
     "max_epochs": 100,
     "patience": 10,
@@ -206,6 +203,8 @@ def predict_curves(method, net, time_grid, covariates, interp: str = "none") -> 
     if interp not in INTERPOLATIONS:
         raise ValidationError(f"interp must be one of {INTERPOLATIONS}")
     logits = net_.forward(net, covariates)
+    if np.isnan(logits).any():  # +-inf outputs read as limits: hazard 0 or 1, mass 0 or inf
+        raise NumericalError("the network's outputs contain NaN")
     if method == "logistic-hazard":
         curve = surv_from_hazard(sigmoid(logits), time_grid)
     elif method == "pmf":
@@ -232,9 +231,7 @@ def evaluate_curves(curve, durations, events, ibs_points: int = 100,
     reports = [metrics_.report("td_concordance", concordance, n)]
     eval_grid = metrics_.EvalGrid.equidistant(durations, ibs_points)
     censor_km = km_.fit(durations, 1 - np.asarray(events, dtype=int))
-    ibs, dropped = metrics_.integrated_brier_score(
-        curve, durations, events, eval_grid, censor_km, details=True
-    )
+    ibs, dropped = metrics_.integrated_brier_score(curve, durations, events, eval_grid, censor_km)
     reports.append(metrics_.report("integrated_brier_score", ibs, n, dropped))
     if truth is not None:
         mse = metrics_.mse_vs_truth(curve, truth, metrics_.EvalGrid(truth_times))
@@ -299,9 +296,6 @@ def run_fit(args) -> int:
     train_cfg = net_.TrainConfig(
         batch_size=cfg["batch_size"],
         learning_rate=cfg["lr"],
-        cycle_length=cfg["cycle"],
-        cycle_mult=cfg["cycle_mult"],
-        lr_decay=cfg["lr_decay"],
         max_epochs=cfg["max_epochs"],
         patience=cfg["patience"],
         seed=cfg["seed"],
@@ -417,7 +411,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        # overflow surfaces through the explicit checks on losses and curves
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2

@@ -30,10 +30,11 @@ class SurvivalCurve:
 
     ``values[i, j]`` is the estimate at cut j+1 for individual i; survival at
     time 0 is 1 by definition. A single 1-d vector of values is accepted and
-    treated as a batch of one.
+    treated as a batch of one. The constructor builds the step, cdi and chi
+    readings; pc-hazard curves come from ``pc_hazard_curve``.
     """
 
-    def __init__(self, grid: TimeGrid, values, kind: str = "step", eta=None):
+    def __init__(self, grid: TimeGrid, values, kind: str = "step"):
         values = np.atleast_2d(np.asarray(values, dtype=float))
         if values.shape[1] != grid.m:
             raise ValidationError(
@@ -46,17 +47,9 @@ class SurvivalCurve:
         values = np.clip(values, 0.0, 1.0)
         if kind not in KINDS:
             raise ValidationError(f"unknown curve kind {kind!r}")
-        if kind == "pc-hazard" and eta is None:
-            raise ValidationError("pc-hazard curves need per-interval hazard masses")
-        if eta is not None:
-            eta = np.atleast_2d(np.asarray(eta, dtype=float))
-            if eta.shape != values.shape:
-                raise ValidationError("eta shape must match values")
-            if not (eta >= 0).all():
-                raise ValidationError("hazard masses must be nonnegative")
-            if np.max(np.abs(np.exp(-np.cumsum(eta, axis=1)) - values)) > 1e-12:
-                raise ValidationError("values inconsistent with the hazard masses")
-        self._set(grid, values, kind, eta)
+        if kind == "pc-hazard":
+            raise ValidationError("pc-hazard curves need hazard masses: use pc_hazard_curve")
+        self._set(grid, values, kind, None)
 
     def _set(self, grid, values, kind, eta) -> "SurvivalCurve":
         for arr in (values, eta):
@@ -185,12 +178,13 @@ def pmf_probs(logits):
     """Softmax class probabilities with an implicit final logit fixed at 0.
 
     Returns one probability per interval plus the survive-past-the-grid class
-    as the last column.
+    as the last column. The classes whose logit is +inf share all the mass.
     """
     logits = np.atleast_2d(np.asarray(logits, dtype=float))
     padded = np.concatenate([logits, np.zeros((logits.shape[0], 1))], axis=1)
-    padded = padded - padded.max(axis=1, keepdims=True)
-    e = np.exp(padded)
+    top = padded.max(axis=1, keepdims=True)
+    # each row's maximum is shifted to exactly 0, so inf - inf never forms
+    e = np.exp(np.subtract(padded, top, out=np.zeros_like(padded), where=padded != top))
     return e / e.sum(axis=1, keepdims=True)
 
 

@@ -140,8 +140,8 @@ def load_csv(path) -> SurvivalDataset:
 
     The ``duration`` and ``event`` columns are resolved by name; every
     remaining column becomes a covariate, in header order. Durations must be
-    finite and nonnegative and events 0 or 1; an error names the first bad
-    data row, numbered from 1 (the header is row 0).
+    finite and nonnegative, events 0 or 1 and covariates finite; an error names
+    the first bad data row, numbered from 1 (the header is row 0).
     """
     with open(path, newline="") as fh:
         try:
@@ -153,19 +153,24 @@ def load_csv(path) -> SurvivalDataset:
                 raise SchemaError(f"{path}: missing required column {col!r}")
         data = _read_rows(fh, len(header), path, ValidationError)
     d_pos, e_pos = header.index("duration"), header.index("event")
-    durations, events = data[:, d_pos], data[:, e_pos]
+    cov_pos = [i for i in range(len(header)) if i not in (d_pos, e_pos)]
+    durations, events, covariates = data[:, d_pos], data[:, e_pos], data[:, cov_pos]
+    bad_cov = ~np.isfinite(covariates)
     bad = ~(np.isfinite(durations) & (durations >= 0) & ((events == 0) | (events == 1)))
+    bad |= bad_cov.any(axis=1)
     if bad.any():
         row = int(np.argmax(bad))
         d, e = float(durations[row]), float(events[row])
+        cols = np.flatnonzero(bad_cov[row])  # read only when the row's other values are valid
         problem = (
             f"non-finite duration {d!r}" if not math.isfinite(d)
             else f"negative duration {d!r}" if d < 0
-            else f"event must be 0 or 1, got {e!r}"
+            else f"event must be 0 or 1, got {e!r}" if e not in (0.0, 1.0)
+            else f"non-finite value {float(covariates[row, cols[0]])!r} in column "
+            f"{header[cov_pos[cols[0]]]!r}"
         )
         raise ValidationError(f"{path}: row {row + 1}: {problem}")
-    cov_pos = [i for i in range(len(header)) if i not in (d_pos, e_pos)]
-    return SurvivalDataset(durations, events, data[:, cov_pos], [header[i] for i in cov_pos])
+    return SurvivalDataset(durations, events, covariates, [header[i] for i in cov_pos])
 
 
 def write_csv(data: SurvivalDataset, path) -> None:

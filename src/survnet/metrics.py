@@ -136,21 +136,16 @@ def brier_scores(curves, durations, events, eval_grid: EvalGrid, censor_km):
     return total.sum(axis=0) / durations.shape[0], dropped
 
 
-def integrated_brier_score(
-    curves, durations, events, eval_grid: EvalGrid, censor_km, details: bool = False
-):
+def integrated_brier_score(curves, durations, events, eval_grid: EvalGrid, censor_km):
     """Trapezoidal integral of the Brier score, normalized by the grid span.
 
-    With ``details=True`` also returns the count of dropped zero-weight terms.
+    Returns (value, count of dropped zero-weight terms).
     """
     times = eval_grid.times
     if times.size < 2:
         raise ValidationError("integration needs at least two evaluation times")
     bs, dropped = brier_scores(curves, durations, events, eval_grid, censor_km)
-    value = float(np.trapezoid(bs, times) / (times[-1] - times[0]))
-    if details:
-        return value, dropped
-    return value
+    return float(np.trapezoid(bs, times) / (times[-1] - times[0])), dropped
 
 
 def mse_vs_truth(curves, truth, eval_grid: EvalGrid) -> float:

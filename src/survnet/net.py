@@ -2,9 +2,10 @@
 
 Hidden layers are rectified and optionally dropped out (inverted dropout);
 the output layer is linear, one unit per time interval. Training uses
-minibatch Adam with decoupled weight decay under a warm-restart schedule:
-the learning rate is cosine-annealed within each cycle, cycles grow
-geometrically and the peak rate decays at every restart.
+minibatch Adam with decoupled weight decay under one fixed warm-restart
+schedule (AdamWR): the learning rate is cosine-annealed within each cycle,
+the first cycle lasts one epoch, each cycle is CYCLE_MULT times as long as
+the one before and the peak rate is multiplied by LR_DECAY at every restart.
 
 During training all weights, then all biases, live in one flat float64
 buffer; the network is built once over row-major views of it and the Adam
@@ -32,6 +33,8 @@ from .errors import NumericalError, ValidationError
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+CYCLE_MULT = 2
+LR_DECAY = 0.8
 
 
 @dataclass(frozen=True)
@@ -185,22 +188,15 @@ def backward(net: Mlp, cache, grad_out):
 class TrainConfig:
     batch_size: int = 256
     learning_rate: float = 0.01
-    cycle_length: int = 1
-    cycle_mult: int = 2
-    lr_decay: float = 0.8
     max_epochs: int = 100
     patience: int = 10
     seed: int = 0
     weight_decay: float = 0.0
 
     def __post_init__(self):
-        positive = ("batch_size", "learning_rate", "cycle_length", "cycle_mult",
-                    "max_epochs", "patience")
-        for name in positive:
+        for name in ("batch_size", "learning_rate", "max_epochs", "patience"):
             if getattr(self, name) <= 0:
                 raise ValidationError(f"{name} must be positive")
-        if not 0.0 < self.lr_decay <= 1.0:
-            raise ValidationError("lr_decay must be in (0, 1]")
         if not (np.isfinite(self.learning_rate) and np.isfinite(self.weight_decay)):
             raise ValidationError("learning_rate and weight_decay must be finite")
         if self.weight_decay < 0:
@@ -212,17 +208,17 @@ class TrainConfig:
 def learning_rate_at(cfg: TrainConfig, position: float) -> float:
     """Warm-restart schedule evaluated at a fractional epoch position.
 
-    Cycle k has length cycle_length * cycle_mult**k epochs and starts at peak
-    learning_rate * lr_decay**k, annealed to zero by a half cosine over the
+    Cycle k has length CYCLE_MULT**k epochs and starts at peak
+    learning_rate * LR_DECAY**k, annealed to zero by a half cosine over the
     cycle. At every cycle start the rate is exactly the decayed peak.
     """
-    start, length, restarts = 0.0, float(cfg.cycle_length), 0
+    start, length, restarts = 0.0, 1.0, 0
     while position >= start + length:
         start += length
-        length *= cfg.cycle_mult
+        length *= CYCLE_MULT
         restarts += 1
     frac = (position - start) / length
-    peak = cfg.learning_rate * cfg.lr_decay**restarts
+    peak = cfg.learning_rate * LR_DECAY**restarts
     return float(peak * 0.5 * (1.0 + np.cos(np.pi * frac)))
 
 

@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -181,6 +183,19 @@ class TestFit:
             "--val", str(pipeline["val"]), "--out", str(tmp_path / "model.json"),
         ) == 1
         assert_one_line_error(capsys)
+
+    def test_non_finite_covariate_names_the_file(self, pipeline, tmp_path, capsys):
+        lines = pipeline["val"].read_text().splitlines()
+        cells = lines[3].split(",")
+        cells[4] = "nan"
+        lines[3] = ",".join(cells)
+        val, model = tmp_path / "val_nan.csv", tmp_path / "model.json"
+        val.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run_cli(*fit_args({**pipeline, "val": val}, model)) == 1
+        err = assert_one_line_error(capsys)
+        assert f"{val}: row 3: non-finite value nan in column 'x2'" in err
+        assert not model.exists()
 
     def test_unknown_config_key_rejected(self, pipeline, tmp_path):
         cfg_path = tmp_path / "bad.json"
@@ -463,6 +478,15 @@ class TestOptions:
         assert_one_line_error(capsys)
         assert not out.exists()
 
+    def test_readme_flags_exist(self):
+        parser = cli.build_parser()
+        (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        known = {flag for command in commands.choices.values()
+                 for action in command._actions for flag in action.option_strings}
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        flags = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", readme))
+        assert "--lr" in flags and not flags - known, sorted(flags - known)
+
 
 # The directory holding the imported survnet package, for child processes.
 PACKAGE_ROOT = str(Path(survnet.__file__).resolve().parent.parent)
@@ -508,6 +532,29 @@ class TestOneLineStderr:
         assert proc.returncode == 1
         assert proc.stderr == "error: covariate 'x0' has a mean or scale that is not finite\n"
         assert not model.exists()
+
+    @pytest.mark.parametrize("flag", ["--lr", "--weight-decay"])
+    def test_overflowing_fit_is_one_line(self, pipeline, tmp_path, flag):
+        model = tmp_path / "model.json"
+        proc = cli_process(*fit_args(pipeline, model, "pc-hazard", (flag, "1e300")))
+        assert proc.returncode == 2 and not model.exists()
+        assert proc.stderr.startswith("numerical failure: non-finite training loss")
+        assert proc.stderr.count("\n") == 1, proc.stderr
+
+    @pytest.mark.parametrize("method", cli.METHODS)
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    def test_overflowing_model_is_one_line(self, pipeline, tmp_path, command, method):
+        # two hidden layers: inf - inf forms in the output sums, so outputs hold NaN
+        model = tmp_path / "model.json"
+        assert run_cli(*fit_args(pipeline, model, method, ("--depth", "2"))) == 0
+        doc = json.loads(model.read_text())
+        doc["net"]["weights"] = [[w * 1e200 for w in ws] for ws in doc["net"]["weights"]]
+        model.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        proc = cli_process(command, "--model", str(model), "--data", str(pipeline["test"]),
+                           "--out", str(out))
+        assert proc.returncode == 2 and not out.exists()
+        assert proc.stderr == "numerical failure: the network's outputs contain NaN\n"
 
     def test_grid_shrink_is_one_warning_line(self, tmp_path):
         train, model = tmp_path / "train.csv", tmp_path / "model.json"

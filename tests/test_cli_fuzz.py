@@ -3,7 +3,8 @@
 A dataset CSV, a truth file, a model file of each method and a fit config
 are cut short, have bytes changed or deleted, or get tokens inserted that
 readers trip on. Every command run on them must exit 0, 1 or 2 with at most
-one line on stderr and no traceback; on exit 0 every report, model and log
+one line on stderr and no traceback, each Python warning counted as the two
+lines it would print outside pytest; on exit 0 every report, model and log
 written must be strict JSON and every curves file must hold survival values
 in [0, 1]. The cases come from one fixed seed, so a run repeats exactly.
 """
@@ -12,6 +13,7 @@ import csv
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -19,10 +21,11 @@ import pytest
 from survnet import cli
 
 N_CASES = 300
-# the last two are the non-finite literals json.load accepts
+# 1e300 overflows once multiplied; the last two are the non-finite literals
+# json.load accepts
 TOKENS = [
-    b"nan", b"inf", b"-inf", b"1e400", b"\n", b"\r\n", b"\n\n", b'"', b",", b"-", b"null",
-    b"[]", b"NaN", b"Infinity",
+    b"nan", b"inf", b"-inf", b"1e400", b"1e300", b"\n", b"\r\n", b"\n\n", b'"', b",", b"-",
+    b"null", b"[]", b"NaN", b"Infinity",
 ]
 SMALL_FIT = ["--m", "5", "--width", "8", "--depth", "1", "--max-epochs", "2", "--patience", "1"]
 
@@ -149,7 +152,9 @@ def test_damaged_inputs_exit_cleanly(inputs, tmp_path, capsys):
                 path.unlink(missing_ok=True)
             capsys.readouterr()
             try:
-                code = cli.main(argv)
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    code = cli.main(argv)
             except BaseException as exc:  # noqa: BLE001 - an escape is the finding
                 failures.append((case, argv[0], target, f"raised {exc!r}"))
                 continue
@@ -158,8 +163,9 @@ def test_damaged_inputs_exit_cleanly(inputs, tmp_path, capsys):
             problems = []
             if code not in (0, 1, 2):
                 problems.append(f"exit {code}")
-            if err.count("\n") > 1 or "Traceback" in err:
-                problems.append(f"stderr {err!r}")
+            # outside pytest a warning prints its message and its source line
+            if err.count("\n") + 2 * len(caught) > 1 or "Traceback" in err:
+                problems.append(f"stderr {err!r}, warnings {[str(w.message) for w in caught]}")
             if code == 0:
                 problems += check_outputs(out)
             if problems:

@@ -54,6 +54,13 @@ class TestSurvFromPmf:
         curve = surv_from_pmf(np.array([[50.0, 0.0]]), GRID2)
         assert np.all(curve.values < 1e-20)
 
+    def test_infinite_logits_share_the_mass(self):
+        logits = [[np.inf, 0.0], [np.inf, np.inf], [-np.inf, 0.0]]
+        curve = surv_from_pmf(logits, GRID2)
+        np.testing.assert_array_equal(curve.values, [[0.0, 0.0], [0.5, 0.0], [1.0, 0.5]])
+        with pytest.raises(ValidationError, match="must lie in"):
+            surv_from_pmf([[np.nan, np.inf]], GRID2)
+
     def test_normalization(self):
         rng = np.random.default_rng(0)
         for m in (1, 5, 25):
@@ -97,11 +104,12 @@ class TestPcHazardCurve:
             pc_hazard_curve([0.5, 1.0, 0.2], GRID2)
 
     def test_equals_the_checked_constructor(self):
+        # the values pass the constructor's checks unchanged; the masses are kept as given
         rng = np.random.default_rng(5)
         eta = np.concatenate([rng.uniform(0, 3, (30, 2)), [[0.0, 0.0], [np.inf, 1.0]]])
         curve = pc_hazard_curve(eta, GRID2)
-        built = SurvivalCurve(GRID2, np.exp(-np.cumsum(eta, axis=1)), "pc-hazard", eta)
-        for got, want in ((curve.values, built.values), (curve.eta, built.eta)):
+        built = SurvivalCurve(GRID2, np.exp(-np.cumsum(eta, axis=1)), "step")
+        for got, want in ((curve.values, built.values), (curve.eta, eta)):
             assert got.tobytes() == want.tobytes() and not got.flags.writeable
 
 
@@ -149,10 +157,13 @@ class TestInterpolate:
         pc = pc_hazard_curve([[0.5, 1.0], [0.0, 2.0]], GRID2)
         for curve in (pc, pc.with_kind("step")):
             got = curve.with_kind(kind)
-            want = SurvivalCurve(GRID2, curve.values, kind, curve.eta)
+            if kind == "pc-hazard":
+                want = pc_hazard_curve(curve.eta, GRID2)
+            else:
+                want = SurvivalCurve(GRID2, curve.values, kind)
             assert (got.grid, got.kind) == (want.grid, want.kind)
             assert got.values.tobytes() == want.values.tobytes()
-            assert got.eta.tobytes() == want.eta.tobytes()
+            assert got.eta.tobytes() == pc.eta.tobytes()
             assert np.array_equal(got.evaluate([0.0, 5.0, 15.0, 30.0]),
                                   want.evaluate([0.0, 5.0, 15.0, 30.0]))
 
@@ -201,18 +212,13 @@ class TestSurvivalCurveContainer:
         ([[0.9, 0.5]], [[np.nan, 0.1]]),
     ])
     def test_nan_values_or_masses_rejected(self, values, eta):
-        kind = "step" if eta is None else "pc-hazard"
+        # masses reach a curve only through pc_hazard_curve
         with pytest.raises(ValidationError, match="must lie in|nonnegative"):
-            SurvivalCurve(GRID2, values, kind, eta)
+            SurvivalCurve(GRID2, values) if eta is None else pc_hazard_curve(eta, GRID2)
 
-    def test_pc_kind_needs_consistent_masses(self):
-        with pytest.raises(ValidationError):
-            SurvivalCurve(GRID2, [0.9, 0.8], kind="pc-hazard", eta=[1.0, 1.0])
-
-    def test_masses_given_to_any_kind_are_checked(self):
-        # with_kind reuses the masses unchecked, so every kind checks them
-        with pytest.raises(ValidationError, match="inconsistent"):
-            SurvivalCurve(GRID2, [0.9, 0.8], kind="step", eta=[1.0, 1.0])
+    def test_pc_hazard_kind_rejected(self):
+        with pytest.raises(ValidationError, match="pc_hazard_curve"):
+            SurvivalCurve(GRID2, [0.9, 0.8], kind="pc-hazard")
 
     def test_step_evaluation_right_continuous(self):
         curve = SurvivalCurve(GRID2, [0.8, 0.4])

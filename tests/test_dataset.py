@@ -1,4 +1,5 @@
 import csv
+import re
 import warnings
 
 import numpy as np
@@ -65,6 +66,14 @@ class TestLoadCsv:
         path = tmp_path / "nonfinite.csv"
         path.write_text(f"duration,event,x0\n1.0,1,0.5\n{raw},0,0.1\n")
         with pytest.raises(ValidationError, match="row 2: non-finite duration"):
+            load_csv(path)
+
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+    def test_non_finite_covariate_cites_row_and_column(self, tmp_path, raw):
+        path = tmp_path / "nonfinite.csv"
+        path.write_text(f"duration,event,x0,x1\n1.0,1,0.5,0.0\n2.0,0,0.1,{raw}\n3.0,7,inf,0\n")
+        message = f"{path}: row 2: non-finite value {float(raw)!r} in column 'x1'"
+        with pytest.raises(ValidationError, match=re.escape(message)):
             load_csv(path)
 
     def test_simulated_roundtrip_bit_identical(self, tmp_path):

@@ -210,7 +210,7 @@ class TestBrier:
         curves = SurvivalCurve(TimeGrid(cuts), values)
         censor_km = km.fit(durations, 1 - events)
         grid = EvalGrid(np.linspace(0.5, 4.0, 20))
-        assert integrated_brier_score(curves, durations, events, grid, censor_km) == 0.0
+        assert integrated_brier_score(curves, durations, events, grid, censor_km) == (0.0, 0)
 
     def test_constant_half_scores_quarter(self):
         durations = np.linspace(1, 5, 10)
@@ -223,8 +223,8 @@ class TestBrier:
         bs, dropped = brier_scores(curves, durations, events, grid, censor_km)
         np.testing.assert_allclose(bs, 0.25, atol=1e-12)
         assert dropped == 0
-        ibs = integrated_brier_score(curves, durations, events, grid, censor_km)
-        assert ibs == pytest.approx(0.25, abs=1e-12)
+        ibs, dropped = integrated_brier_score(curves, durations, events, grid, censor_km)
+        assert ibs == pytest.approx(0.25, abs=1e-12) and dropped == 0
 
     def test_five_individual_censored_example_matches_oracle(self):
         durations = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
@@ -254,8 +254,8 @@ class TestBrier:
         bs, dropped = brier_scores(curves, durations, events, eval_grid, censor_km)
         np.testing.assert_allclose(bs, expected_bs, atol=1e-12)
         expected_ibs = trapezoid(expected_bs, list(times))
-        got = integrated_brier_score(curves, durations, events, eval_grid, censor_km)
-        assert got == pytest.approx(expected_ibs, abs=1e-12)
+        got, got_dropped = integrated_brier_score(curves, durations, events, eval_grid, censor_km)
+        assert got == pytest.approx(expected_ibs, abs=1e-12) and got_dropped == dropped
 
     def test_no_censoring_reduces_to_unweighted(self):
         rng = np.random.default_rng(3)
