@@ -103,8 +103,7 @@ class SurvivalCurve:
         """
         scalar = np.ndim(times) == 0
         ts = np.atleast_1d(np.asarray(times, dtype=float))
-        if not (ts >= 0).all():  # also rejects NaN
-            raise ValidationError("evaluation times must be nonnegative numbers")
+        k, rho = locate_times(ts, self.grid)  # rejects negative and NaN times
         shape = (self.n, ts.size)
         if out is None:
             out = np.empty(shape, order="F")
@@ -114,7 +113,6 @@ class SurvivalCurve:
         ):
             raise ValidationError(f"out must be a column-major float64 array of shape {shape}")
         table = self._tables()
-        k, rho = locate_times(ts, self.grid)
         if self.kind == "step":
             # the last cut at or before each time
             np.take(table[0], k - (ts < self.grid.cuts[k]), axis=0, out=out.T, mode="clip")

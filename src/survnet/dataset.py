@@ -16,13 +16,16 @@ class SurvivalDataset:
 
     Each row pairs an observed duration with an event indicator (1 = the event
     was observed, 0 = the observation was censored) and a covariate vector of
-    shared length ``p``. Arrays are validated on construction and marked
+    shared length ``p``. Durations must be finite and nonnegative, events
+    exactly 0 or 1 and covariates finite; the values are checked as given, so
+    an event of 0.5 or NaN is rejected, not cast. An error names the first bad
+    row, numbered from 1, and for a covariate its column. Arrays are marked
     read-only, so a dataset can be shared freely between readers.
     """
 
     def __init__(self, durations, events, covariates, covariate_names=None):
         durations = np.array(durations, dtype=float)
-        events = np.array(events, dtype=int)
+        events = np.array(events, dtype=float)
         covariates = np.array(covariates, dtype=float, order="C")  # one layout for matmuls
         if durations.ndim != 1:
             raise ValidationError("durations must be a 1-d array")
@@ -33,19 +36,27 @@ class SurvivalDataset:
             raise ValidationError("a dataset needs at least one record")
         if events.shape != (n,) or covariates.shape[0] != n:
             raise ValidationError("durations, events and covariates disagree on n")
-        if not np.isfinite(durations).all():
-            raise ValidationError("durations contain NaN or Inf")
-        if np.any(durations < 0):
-            raise ValidationError("durations must be nonnegative")
-        if not np.isin(events, (0, 1)).all():
-            raise ValidationError("events must be 0 or 1")
-        if not np.isfinite(covariates).all():
-            raise ValidationError("covariates contain NaN or Inf")
         if covariate_names is None:
             covariate_names = tuple(f"x{j}" for j in range(covariates.shape[1]))
         covariate_names = tuple(covariate_names)
         if len(covariate_names) != covariates.shape[1]:
             raise ValidationError("covariate_names length must equal p")
+        bad_cov = ~np.isfinite(covariates)
+        bad = ~(np.isfinite(durations) & (durations >= 0) & ((events == 0) | (events == 1)))
+        bad |= bad_cov.any(axis=1)
+        if bad.any():
+            row = int(np.argmax(bad))
+            d, e = float(durations[row]), float(events[row])
+            col = int(np.argmax(bad_cov[row]))  # read only when the row's other values are valid
+            problem = (
+                f"non-finite duration {d!r}" if not math.isfinite(d)
+                else f"negative duration {d!r}" if d < 0
+                else f"event must be 0 or 1, got {e!r}" if e not in (0.0, 1.0)
+                else f"non-finite value {float(covariates[row, col])!r} in column "
+                f"{covariate_names[col]!r}"
+            )
+            raise ValidationError(f"row {row + 1}: {problem}")
+        events = events.astype(int)
         for arr in (durations, events, covariates):
             arr.setflags(write=False)
         self.durations = durations
@@ -139,9 +150,9 @@ def load_csv(path) -> SurvivalDataset:
     """Read a dataset from a comma-separated file with a header row.
 
     The ``duration`` and ``event`` columns are resolved by name; every
-    remaining column becomes a covariate, in header order. Durations must be
-    finite and nonnegative, events 0 or 1 and covariates finite; an error names
-    the first bad data row, numbered from 1 (the header is row 0).
+    remaining column becomes a covariate, in header order. The values are
+    checked by ``SurvivalDataset``; an error names the file and the first bad
+    data row, numbered from 1 (the header is row 0).
     """
     with open(path, newline="") as fh:
         try:
@@ -154,23 +165,12 @@ def load_csv(path) -> SurvivalDataset:
         data = _read_rows(fh, len(header), path, ValidationError)
     d_pos, e_pos = header.index("duration"), header.index("event")
     cov_pos = [i for i in range(len(header)) if i not in (d_pos, e_pos)]
-    durations, events, covariates = data[:, d_pos], data[:, e_pos], data[:, cov_pos]
-    bad_cov = ~np.isfinite(covariates)
-    bad = ~(np.isfinite(durations) & (durations >= 0) & ((events == 0) | (events == 1)))
-    bad |= bad_cov.any(axis=1)
-    if bad.any():
-        row = int(np.argmax(bad))
-        d, e = float(durations[row]), float(events[row])
-        cols = np.flatnonzero(bad_cov[row])  # read only when the row's other values are valid
-        problem = (
-            f"non-finite duration {d!r}" if not math.isfinite(d)
-            else f"negative duration {d!r}" if d < 0
-            else f"event must be 0 or 1, got {e!r}" if e not in (0.0, 1.0)
-            else f"non-finite value {float(covariates[row, cols[0]])!r} in column "
-            f"{header[cov_pos[cols[0]]]!r}"
+    try:
+        return SurvivalDataset(
+            data[:, d_pos], data[:, e_pos], data[:, cov_pos], [header[i] for i in cov_pos]
         )
-        raise ValidationError(f"{path}: row {row + 1}: {problem}")
-    return SurvivalDataset(durations, events, covariates, [header[i] for i in cov_pos])
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 def write_csv(data: SurvivalDataset, path) -> None:

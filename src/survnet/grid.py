@@ -63,15 +63,16 @@ class DiscreteLabels:
     frac: np.ndarray
 
     def __post_init__(self):
-        idx = np.asarray(self.idx, dtype=int)
-        event = np.asarray(self.event, dtype=int)
+        idx = np.asarray(self.idx, dtype=float)
+        event = np.asarray(self.event, dtype=float)
         frac = np.asarray(self.frac, dtype=float)
         if not (idx.shape == event.shape == frac.shape) or idx.ndim != 1:
             raise ValidationError("label arrays must be 1-d and of equal length")
-        if np.any(idx < 0):
-            raise ValidationError("interval indices must be nonnegative")
-        if not np.isin(event, (0, 1)).all():
+        if not (np.isfinite(idx) & (idx >= 0) & (np.floor(idx) == idx)).all():
+            raise ValidationError("interval indices must be nonnegative integers")
+        if not ((event == 0) | (event == 1)).all():  # also NaN
             raise ValidationError("events must be 0 or 1")
+        idx, event = idx.astype(int), event.astype(int)
         if not (frac >= 0).all() or not (frac <= 1).all():  # also NaN
             raise ValidationError("fractions must lie in [0, 1]")
         if np.any((event == 1) & (idx < 1)):

@@ -163,7 +163,7 @@ def mse_vs_truth(curves, truth, eval_grid: EvalGrid) -> float:
     streamed = isinstance(truth, sim_.GammaSet)
     if streamed:
         if truth.gamma.shape[0] != n:
-            raise ValidationError(f"truth has {truth.gamma.shape[0]} rows for {n} curves")
+            raise ValidationError(f"truth has {truth.gamma.shape[0]} rows for {n} individuals")
     else:
         truth = np.asarray(truth, dtype=float)
         if truth.shape != shape:

@@ -134,8 +134,6 @@ def _forward_cached(net: Mlp, x, training: bool, rng, workspace=None):
             f"input has {x.shape[1]} columns, network expects {net.widths[0]}"
         )
     use_dropout = training and net.dropout > 0.0
-    if use_dropout and rng is None:
-        raise ValidationError("training-mode forward with dropout needs an rng")
     rows = x.shape[0]
     work = _Workspace(net.widths, rows) if workspace is None else workspace
     n_layers = len(net.weights)
@@ -155,9 +153,9 @@ def _forward_cached(net: Mlp, x, training: bool, rng, workspace=None):
     return z, (x, work, use_dropout)
 
 
-def forward(net: Mlp, x, training: bool = False, rng=None):
-    """Network outputs for a batch; deterministic when not training."""
-    out, _ = _forward_cached(net, x, training, rng)
+def forward(net: Mlp, x):
+    """Network outputs for a batch; dropout is never applied."""
+    out, _ = _forward_cached(net, x, False, None)
     return out
 
 

@@ -302,6 +302,16 @@ class TestPredictAndEvaluate:
             "--truth", str(pipeline["train_truth"]),
         ) == 1
 
+    def test_truth_for_another_n_is_one_line(self, pipeline, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        assert run_cli(*fit_args(pipeline, model)) == 0
+        capsys.readouterr()
+        assert run_cli(
+            "evaluate", "--model", str(model), "--data", str(pipeline["test"]),
+            "--truth", str(pipeline["train_truth"]),
+        ) == 1
+        assert capsys.readouterr().err == "error: truth has 500 rows for 400 individuals\n"
+
     @pytest.mark.parametrize("content", [
         b"a,b,c\n1,2,3\n",
         b"survnet-truth-latent,n_steps=1000,t_max=100.0\n0.5,nan,0,0,0,0,0,0,0\n",

@@ -2,11 +2,14 @@
 
 A dataset CSV, a truth file, a model file of each method and a fit config
 are cut short, have bytes changed or deleted, or get tokens inserted that
-readers trip on. Every command run on them must exit 0, 1 or 2 with at most
-one line on stderr and no traceback, each Python warning counted as the two
-lines it would print outside pytest; on exit 0 every report, model and log
-written must be strict JSON and every curves file must hold survival values
-in [0, 1]. The cases come from one fixed seed, so a run repeats exactly.
+readers trip on. Beside them run fixed values that overflow: a config with a
+learning rate of 1e300 and, per method, a model whose outputs hold NaN.
+Every command run on them must exit 0, 1 or 2 with at most one line on
+stderr and no traceback, each Python warning counted as the two lines it
+would print outside pytest; on exit 0 every report, model and log written
+must be strict JSON and every curves file must hold survival values in
+[0, 1], and on exit 2 the line is a numerical failure. The cases come from
+one fixed seed, so a run repeats exactly, and they reach all three exits.
 """
 
 import csv
@@ -80,6 +83,28 @@ def inputs(tmp_path_factory):
     return files
 
 
+def value_cases(files, root):
+    """(target, file) pairs for the clean inputs with values that overflow."""
+    config = json.loads(files["config"].read_text())
+    config["lr"] = 1e300
+    path = root / "lr_1e300.json"
+    path.write_text(json.dumps(config))
+    yield "config", path
+    for method in cli.METHODS:
+        # Every hidden unit computes the same 1e308 * (row sum + 1), which is
+        # +inf for some rows; output weights alternating in sign over the
+        # hidden units then sum inf - inf.
+        doc = json.loads(files[method].read_text())
+        net = doc["net"]
+        fan_in, fan_out = net["widths"][-2:]
+        net["weights"][0] = [1e308] * len(net["weights"][0])
+        net["biases"][0] = [1e308] * len(net["biases"][0])
+        net["weights"][-1] = [(-1.0) ** k for k in range(fan_in) for _ in range(fan_out)]
+        path = root / f"{method}_nan_outputs.json"
+        path.write_text(json.dumps(doc))
+        yield method, path
+
+
 def commands(target, damaged, files, out):
     """The command lines that read the damaged file in place of the clean one."""
     model = str(files["pmf"])
@@ -141,15 +166,12 @@ def test_damaged_inputs_exit_cleanly(inputs, tmp_path, capsys):
     rng = np.random.default_rng(20261019)
     targets = ["train", "test", "test_truth", *cli.METHODS, "config"]
     out = {name: tmp_path / f"out.{name}" for name in ("report", "model", "log", "curves")}
-    failures, exits = [], []
-    for case in range(N_CASES):
-        target = targets[case % len(targets)]
-        original = inputs[target].read_bytes()
-        damaged = tmp_path / f"damaged{inputs[target].suffix}"
-        damaged.write_bytes(damage(original, rng))
-        for argv in commands(target, damaged, inputs, out):
-            for path in out.values():
-                path.unlink(missing_ok=True)
+    failures, runs = [], []
+
+    def run_all(case, target, path):
+        for argv in commands(target, path, inputs, out):
+            for output in out.values():
+                output.unlink(missing_ok=True)
             capsys.readouterr()
             try:
                 with warnings.catch_warnings(record=True) as caught:
@@ -159,7 +181,7 @@ def test_damaged_inputs_exit_cleanly(inputs, tmp_path, capsys):
                 failures.append((case, argv[0], target, f"raised {exc!r}"))
                 continue
             err = capsys.readouterr().err
-            exits.append(code)
+            runs.append((code, err))
             problems = []
             if code not in (0, 1, 2):
                 problems.append(f"exit {code}")
@@ -168,8 +190,20 @@ def test_damaged_inputs_exit_cleanly(inputs, tmp_path, capsys):
                 problems.append(f"stderr {err!r}, warnings {[str(w.message) for w in caught]}")
             if code == 0:
                 problems += check_outputs(out)
+            if code == 2 and not err.startswith("numerical failure: "):
+                problems.append(f"exit 2 with stderr {err!r}")
             if problems:
                 failures.append((case, argv[0], target, problems))
+
+    for case in range(N_CASES):
+        target = targets[case % len(targets)]
+        damaged = tmp_path / f"damaged{inputs[target].suffix}"
+        damaged.write_bytes(damage(inputs[target].read_bytes(), rng))
+        run_all(case, target, damaged)
+    for target, path in value_cases(inputs, tmp_path):
+        run_all("value", target, path)
     assert not failures, failures[:5]
+    exits = [code for code, _ in runs]
     # the damage must leave some runs succeeding and make others fail
     assert 0 < exits.count(0) < len(exits)
+    assert {0, 1, 2} <= set(exits)

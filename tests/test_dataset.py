@@ -309,8 +309,19 @@ class TestValidation:
 
     @pytest.mark.parametrize("duration", [np.nan, np.inf, -np.inf])
     def test_non_finite_duration(self, duration):
-        with pytest.raises(ValidationError, match="durations contain NaN or Inf"):
+        with pytest.raises(ValidationError, match="row 2: non-finite duration"):
             SurvivalDataset([1.0, duration], [1, 0], [[0.0], [1.0]])
+
+    @pytest.mark.parametrize("event", [0.5, -0.2, 1.7, np.nan])
+    def test_event_checked_before_the_cast(self, event):
+        message = f"row 2: event must be 0 or 1, got {event!r}"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            SurvivalDataset([1.0, 2.0], [1, event], [[0.0], [1.0]])
+
+    def test_non_finite_covariate_names_row_and_column(self):
+        message = "row 2: non-finite value inf in column 'age'"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            SurvivalDataset([1.0, 2.0], [1, 0], [[0.0, 1.0], [np.inf, 0.0]], ["age", "dose"])
 
     def test_arrays_read_only(self):
         data = make_dataset()

@@ -205,6 +205,14 @@ class TestDiscreteLabels:
         with pytest.raises(ValidationError, match="fractions"):
             DiscreteLabels([1, 2], [1, 0], [0.5, frac])
 
+    @pytest.mark.parametrize("idx, event, message", [
+        ([1], [0.5], "events"), ([1], [np.nan], "events"),
+        ([1.7], [1], "indices"), ([np.nan], [0], "indices"), ([np.inf], [0], "indices"),
+    ])
+    def test_index_and_event_checked_before_the_cast(self, idx, event, message):
+        with pytest.raises(ValidationError, match=message):
+            DiscreteLabels(idx, event, [0.5])
+
     def test_take(self):
         labels = DiscreteLabels([1, 2, 3], [1, 0, 1], [0.5, 1.0, 0.25])
         sub = labels.take([2, 0])

@@ -14,6 +14,7 @@ from survnet.losses import LossOutput, nll_logistic_hazard, nll_pc_hazard, nll_p
 from survnet.net import (
     Mlp,
     TrainConfig,
+    _forward_cached,
     fit,
     forward,
     init_mlp,
@@ -60,8 +61,8 @@ class TestForward:
     def test_dropout_zero_training_equals_eval(self):
         net = init_mlp([3, 8, 2], dropout=0.0, seed=1)
         x = np.random.default_rng(1).normal(size=(6, 3))
-        train_out = forward(net, x, training=True, rng=np.random.default_rng(2))
-        eval_out = forward(net, x, training=False)
+        train_out = _forward_cached(net, x, True, np.random.default_rng(2))[0]
+        eval_out = forward(net, x)
         np.testing.assert_array_equal(train_out, eval_out)
 
     def test_single_linear_layer_is_a_matrix_product(self):
@@ -75,10 +76,10 @@ class TestForward:
     def test_dropout_scales_and_masks(self):
         net = init_mlp([2, 50, 1], dropout=0.5, seed=4)
         x = np.ones((1, 2))
-        a = forward(net, x, training=True, rng=np.random.default_rng(5))
-        b = forward(net, x, training=True, rng=np.random.default_rng(5))
+        a = _forward_cached(net, x, True, np.random.default_rng(5))[0]
+        b = _forward_cached(net, x, True, np.random.default_rng(5))[0]
         np.testing.assert_array_equal(a, b)
-        c = forward(net, x, training=True, rng=np.random.default_rng(6))
+        c = _forward_cached(net, x, True, np.random.default_rng(6))[0]
         assert not np.array_equal(a, c)
 
     def test_shape_mismatch(self):
