@@ -1,9 +1,11 @@
 """Command-line pipeline: simulate, fit, predict and evaluate survival models.
 
 Flags override values from an optional JSON config file, which in turn
-override built-in defaults. Models persist as versioned JSON holding the time
-grid, the network parameters and the covariate standardizer. Exit codes:
-0 success, 1 validation or schema error, 2 numerical failure.
+override built-in defaults. ``main`` checks the required flags and the lower
+bounds of the merged values, used or not, before any file is read, then calls
+``run_<command>(cfg)``. Models persist as versioned JSON holding the time grid,
+the network parameters and the covariate standardizer. Exit codes: 0 success,
+1 validation or schema error, 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ GRID_SCHEMES = ("equidistant", "km-quantile")
 INTERPOLATIONS = ("none", "cdi", "chi")
 
 CHOICES = {"method": METHODS, "grid_scheme": GRID_SCHEMES, "interp": INTERPOLATIONS}
+LOWER_BOUNDS = {"depth": 0, "num_times": 1, "ibs_points": 2}
 
 SIMULATE_DEFAULTS = {
     "n": 1000,
@@ -140,6 +143,15 @@ def _config_type_ok(default, value) -> bool:
     return type(value) is type(default)
 
 
+def _write_text(path, text: str) -> None:
+    """Write a whole text file; an error names the path once, as ``path: reason``."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:  # str(exc) of a failed open would repeat the path
+        raise OSError(f"{path}: {exc.strerror or exc}") from None
+
+
 def save_model(path, method, time_grid, net, standardizer) -> None:
     doc = {
         "format_version": FORMAT_VERSION,
@@ -151,9 +163,8 @@ def save_model(path, method, time_grid, net, standardizer) -> None:
             "stds": standardizer.stds.tolist(),
         },
     }
-    with open(path, "w") as fh:
-        # dumps takes the C encoder; dump would encode in Python
-        fh.write(json.dumps(doc) + "\n")
+    # dumps takes the C encoder; dump would encode in Python
+    _write_text(path, json.dumps(doc) + "\n")
 
 
 def load_model(path):
@@ -237,10 +248,7 @@ def evaluate_curves(curve, durations, events, ibs_points: int = 100,
     return reports
 
 
-def run_simulate(args) -> int:
-    cfg = _merge(args, SIMULATE_DEFAULTS)
-    if not cfg["out"]:
-        raise ValidationError("simulate needs --out for the dataset file")
+def run_simulate(cfg) -> int:
     sim_cfg = sim_.SimConfig(
         n=cfg["n"],
         seed=cfg["seed"],
@@ -270,13 +278,7 @@ def _labels_for(method, data, time_grid):
     return grid_.discretize(data, time_grid)
 
 
-def run_fit(args) -> int:
-    cfg = _merge(args, FIT_DEFAULTS)
-    for key in ("train", "val", "out"):
-        if not cfg[key]:
-            raise ValidationError(f"fit needs --{key}")
-    if cfg["depth"] < 0:
-        raise ValidationError(f"--depth must be at least 0, got {cfg['depth']}")
+def run_fit(cfg) -> int:
     method = cfg["method"]
     train = ds.load_csv(cfg["train"])
     val = ds.load_csv(cfg["val"])
@@ -305,9 +307,7 @@ def run_fit(args) -> int:
     )
     save_model(cfg["out"], method, time_grid, trained, std)
     if cfg["log"]:
-        with open(cfg["log"], "w") as fh:
-            for entry in log:
-                fh.write(json.dumps(entry) + "\n")
+        _write_text(cfg["log"], "".join(json.dumps(entry) + "\n" for entry in log))
     best = min(entry["val_loss"] for entry in log)
     print(
         f"fitted {method} with {time_grid.m} intervals in {len(log)} epochs "
@@ -335,35 +335,24 @@ def _parse_times(raw: str) -> np.ndarray:
     return times
 
 
-def run_predict(args) -> int:
-    cfg = _merge(args, PREDICT_DEFAULTS)
-    for key in ("model", "data", "out"):
-        if not cfg[key]:
-            raise ValidationError(f"predict needs --{key}")
+def _model_curves(cfg):
+    """The grid, the standardized --data and its curves under the --model."""
     method, time_grid, net, std = load_model(cfg["model"])
     data = std.apply(ds.load_csv(cfg["data"]))
-    curve = predict_curves(method, net, time_grid, data.covariates, cfg["interp"])
-    if cfg["times"]:
-        times = _parse_times(cfg["times"])
-    else:
-        if cfg["num_times"] < 1:
-            raise ValidationError(f"--num-times must be at least 1, got {cfg['num_times']}")
-        times = np.linspace(0.0, time_grid.t_max, cfg["num_times"])
+    return time_grid, data, predict_curves(method, net, time_grid, data.covariates, cfg["interp"])
+
+
+def run_predict(cfg) -> int:
+    time_grid, data, curve = _model_curves(cfg)
+    times = (_parse_times(cfg["times"]) if cfg["times"]
+             else np.linspace(0.0, time_grid.t_max, cfg["num_times"]))
     write_curves_csv(cfg["out"], times, curve.evaluate(times))
     print(f"wrote {data.n} curves at {times.size} times -> {cfg['out']}")
     return 0
 
 
-def run_evaluate(args) -> int:
-    cfg = _merge(args, EVALUATE_DEFAULTS)
-    for key in ("model", "data"):
-        if not cfg[key]:
-            raise ValidationError(f"evaluate needs --{key}")
-    if cfg["ibs_points"] < 2:
-        raise ValidationError(f"--ibs-points must be at least 2, got {cfg['ibs_points']}")
-    method, time_grid, net, std = load_model(cfg["model"])
-    data = std.apply(ds.load_csv(cfg["data"]))
-    curve = predict_curves(method, net, time_grid, data.covariates, cfg["interp"])
+def run_evaluate(cfg) -> int:
+    _, data, curve = _model_curves(cfg)
     truth = truth_times = None
     if cfg["truth"]:
         truth_times, truth = sim_.load_truth_csv(cfg["truth"])
@@ -372,8 +361,7 @@ def run_evaluate(args) -> int:
     )
     text = json.dumps(reports, indent=2)
     if cfg["out"]:
-        with open(cfg["out"], "w") as fh:
-            fh.write(text + "\n")
+        _write_text(cfg["out"], text + "\n")
     else:
         print(text)
     return 0
@@ -383,13 +371,16 @@ def build_parser() -> argparse.ArgumentParser:
     """Per command, one flag per key of its defaults, typed as the default, plus --config."""
     parser = _Parser(prog="survnet", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = (
-        ("simulate", "generate a synthetic dataset plus truth", SIMULATE_DEFAULTS, run_simulate),
-        ("fit", "train a survival model", FIT_DEFAULTS, run_fit),
-        ("predict", "write survival curves to CSV", PREDICT_DEFAULTS, run_predict),
-        ("evaluate", "score a model on a dataset", EVALUATE_DEFAULTS, run_evaluate),
+    commands = (  # name, help, defaults, required flags, handler
+        ("simulate", "generate a synthetic dataset plus truth",
+         SIMULATE_DEFAULTS, ("out",), run_simulate),
+        ("fit", "train a survival model", FIT_DEFAULTS, ("train", "val", "out"), run_fit),
+        ("predict", "write survival curves to CSV",
+         PREDICT_DEFAULTS, ("model", "data", "out"), run_predict),
+        ("evaluate", "score a model on a dataset",
+         EVALUATE_DEFAULTS, ("model", "data"), run_evaluate),
     )
-    for name, help_text, defaults, func in commands:
+    for name, help_text, defaults, required, func in commands:
         command = sub.add_parser(name, help=help_text)
         for key, default in defaults.items():
             command.add_argument(
@@ -397,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
                 type=str if default is None else type(default),
             )
         command.add_argument("--config")
-        command.set_defaults(func=func)
+        command.set_defaults(func=func, defaults=defaults, required=required)
     return parser
 
 
@@ -405,9 +396,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        cfg = _merge(args, args.defaults)
+        for key in args.required:
+            if not cfg[key]:
+                raise ValidationError(f"{args.command} needs --{key}")
+        for key, low in LOWER_BOUNDS.items():
+            if key in cfg and cfg[key] < low:
+                flag = "--" + key.replace("_", "-")
+                raise ValidationError(f"{flag} must be at least {low}, got {cfg[key]}")
         # overflow surfaces through the explicit checks on losses and curves
         with np.errstate(over="ignore", invalid="ignore"):
-            return args.func(args)
+            return args.func(cfg)
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2

@@ -198,7 +198,7 @@ def surv_from_pmf(logits, grid: TimeGrid) -> SurvivalCurve:
 
 def pc_hazard_curve(eta, grid: TimeGrid) -> SurvivalCurve:
     """Piecewise-exponential curve from per-interval hazard masses."""
-    eta = np.atleast_2d(np.asarray(eta, dtype=float))
+    eta = np.atleast_2d(np.array(eta, dtype=float))
     if eta.shape[1] != grid.m:
         raise ValidationError(f"eta has {eta.shape[1]} columns, grid has {grid.m} intervals")
     if not (eta >= 0).all():

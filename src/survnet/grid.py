@@ -65,7 +65,7 @@ class DiscreteLabels:
     def __post_init__(self):
         idx = np.asarray(self.idx, dtype=float)
         event = np.asarray(self.event, dtype=float)
-        frac = np.asarray(self.frac, dtype=float)
+        frac = np.array(self.frac, dtype=float)
         if not (idx.shape == event.shape == frac.shape) or idx.ndim != 1:
             raise ValidationError("label arrays must be 1-d and of equal length")
         if not (np.isfinite(idx) & (idx >= 0) & (np.floor(idx) == idx)).all():

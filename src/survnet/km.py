@@ -30,8 +30,8 @@ class KaplanMeierCurve:
     surv: np.ndarray
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        surv = np.asarray(self.surv, dtype=float)
+        times = np.array(self.times, dtype=float)
+        surv = np.array(self.surv, dtype=float)
         if times.shape != surv.shape or times.ndim != 1:
             raise ValidationError("times and surv must be 1-d arrays of equal length")
         if not (np.diff(times) > 0).all():

@@ -82,7 +82,7 @@ class GammaSet:
     gamma: np.ndarray
 
     def __post_init__(self):
-        gamma = np.atleast_2d(np.asarray(self.gamma, dtype=float))
+        gamma = np.atleast_2d(np.array(self.gamma, dtype=float))
         if gamma.shape[1] != N_LATENT:
             raise ValidationError(f"gamma needs {N_LATENT} columns")
         gamma.setflags(write=False)

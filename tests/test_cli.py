@@ -498,6 +498,55 @@ class TestOptions:
         assert "--lr" in flags and not flags - known, sorted(flags - known)
 
 
+REQUIRED_FLAGS = {
+    "simulate": ("out",), "fit": ("train", "val", "out"),
+    "predict": ("model", "data", "out"), "evaluate": ("model", "data"),
+}
+
+
+class TestCommandChecks:
+    @pytest.mark.parametrize("command, flag", [
+        (command, flag) for command, flags in REQUIRED_FLAGS.items() for flag in flags
+    ])
+    def test_missing_required_flag_is_one_exact_line(self, tmp_path, capsys, command, flag):
+        argv = [command]
+        for other in REQUIRED_FLAGS[command]:
+            if other != flag:
+                argv += ["--" + other, str(tmp_path / other)]
+        assert run_cli(*argv) == 1
+        assert capsys.readouterr().err == f"error: {command} needs --{flag}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("with_times", [False, True])
+    def test_num_times_checked_before_any_file_is_read(self, pipeline, tmp_path, capsys,
+                                                       with_times):
+        if with_times:  # a valid model and --times, which leaves --num-times unused
+            model = tmp_path / "model.json"
+            assert run_cli(*fit_args(pipeline, model)) == 0
+            inputs = ["--model", str(model), "--data", str(pipeline["test"]), "--times", "1,2"]
+        else:
+            inputs = ["--model", str(tmp_path / "nope.json"), "--data", str(tmp_path / "no.csv")]
+        curves_csv = tmp_path / "curves.csv"
+        capsys.readouterr()
+        assert run_cli("predict", *inputs, "--num-times", "0", "--out", str(curves_csv)) == 1
+        assert capsys.readouterr().err == "error: --num-times must be at least 1, got 0\n"
+        assert not curves_csv.exists()
+
+    @pytest.mark.parametrize("command", ["fit", "evaluate"])
+    def test_failed_write_names_the_path(self, pipeline, tmp_path, capsys, command):
+        model = tmp_path / "model.json"
+        if command == "fit":
+            argv = fit_args(pipeline, model, extra=["--log", "/dev/full"])
+        else:
+            assert run_cli(*fit_args(pipeline, model)) == 0
+            argv = ["evaluate", "--model", str(model), "--data", str(pipeline["test"]),
+                    "--out", "/dev/full"]
+        capsys.readouterr()
+        assert run_cli(*argv) == 1
+        err = assert_one_line_error(capsys)
+        assert err == "error: cannot read or write a file: /dev/full: No space left on device\n"
+
+
 # The directory holding the imported survnet package, for child processes.
 PACKAGE_ROOT = str(Path(survnet.__file__).resolve().parent.parent)
 

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from survnet.curves import pc_hazard_curve
 from survnet.dataset import SurvivalDataset
 from survnet.errors import ValidationError
 from survnet.grid import (
@@ -15,6 +16,8 @@ from survnet.grid import (
     km_quantile_grid,
     locate_times,
 )
+from survnet.km import KaplanMeierCurve
+from survnet.sim import GammaSet
 
 from oracles import km_quantile_search
 
@@ -256,3 +259,19 @@ class TestTimeGrid:
     def test_non_finite_cut_rejected(self, cuts):
         with pytest.raises(ValidationError, match="finite"):
             TimeGrid(cuts)
+
+
+# Each constructor freezes the array it keeps, so it must keep a copy.
+@pytest.mark.parametrize("build, attr, values", [
+    (lambda a: DiscreteLabels([1, 2], [1, 0], a), "frac", [0.5, 0.25]),
+    (lambda a: pc_hazard_curve(a, TimeGrid([0, 1, 2])), "eta", [[0.5, 0.25]]),
+    (GammaSet, "gamma", [[0.5] * 9]),
+    (lambda a: KaplanMeierCurve(a, [0.75, 0.5]), "times", [1.0, 2.0]),
+    (lambda a: KaplanMeierCurve([1.0, 2.0], a), "surv", [0.75, 0.5]),
+], ids=["labels", "pc-hazard", "gamma", "km-times", "km-surv"])
+def test_constructor_leaves_the_callers_array_writeable(build, attr, values):
+    a = np.array(values, dtype=float)
+    built = build(a)
+    assert a.flags.writeable
+    a[...] = 0.0
+    np.testing.assert_array_equal(getattr(built, attr), values)
