@@ -143,15 +143,6 @@ def _config_type_ok(default, value) -> bool:
     return type(value) is type(default)
 
 
-def _write_text(path, text: str) -> None:
-    """Write a whole text file; an error names the path once, as ``path: reason``."""
-    try:
-        with open(path, "w") as fh:
-            fh.write(text)
-    except OSError as exc:  # str(exc) of a failed open would repeat the path
-        raise OSError(f"{path}: {exc.strerror or exc}") from None
-
-
 def save_model(path, method, time_grid, net, standardizer) -> None:
     doc = {
         "format_version": FORMAT_VERSION,
@@ -164,7 +155,7 @@ def save_model(path, method, time_grid, net, standardizer) -> None:
         },
     }
     # dumps takes the C encoder; dump would encode in Python
-    _write_text(path, json.dumps(doc) + "\n")
+    ds._write_text(path, json.dumps(doc) + "\n")
 
 
 def load_model(path):
@@ -256,9 +247,9 @@ def run_simulate(cfg) -> int:
         censor_hazard=cfg["censor_hazard"],
     )
     result = sim_.generate_dataset(sim_cfg)
-    ds.write_csv(result.data, cfg["out"])
     truth_path = cfg["truth"] or f"{cfg['out']}.truth.csv"
-    sim_.write_truth_csv(truth_path, result)
+    sim_.write_truth_csv(truth_path, result)  # dataset last: a failed truth leaves none
+    ds.write_csv(result.data, cfg["out"])
     print(
         f"simulated n={result.data.n} (censored fraction "
         f"{result.censored_fraction:.4f}) -> {cfg['out']}, truth -> {truth_path}"
@@ -305,9 +296,9 @@ def run_fit(cfg) -> int:
         net, LOSSES[method], train_s.covariates, train_labels,
         val_s.covariates, val_labels, train_cfg,
     )
+    if cfg["log"]:  # the model last, so a failed log write leaves no model
+        ds._write_text(cfg["log"], "".join(json.dumps(entry) + "\n" for entry in log))
     save_model(cfg["out"], method, time_grid, trained, std)
-    if cfg["log"]:
-        _write_text(cfg["log"], "".join(json.dumps(entry) + "\n" for entry in log))
     best = min(entry["val_loss"] for entry in log)
     print(
         f"fitted {method} with {time_grid.m} intervals in {len(log)} epochs "
@@ -361,7 +352,7 @@ def run_evaluate(cfg) -> int:
     )
     text = json.dumps(reports, indent=2)
     if cfg["out"]:
-        _write_text(cfg["out"], text + "\n")
+        ds._write_text(cfg["out"], text + "\n")
     else:
         print(text)
     return 0

@@ -10,10 +10,9 @@ form. All kinds extend beyond the last cut by the value there.
 
 from __future__ import annotations
 
-import csv
-
 import numpy as np
 
+from .dataset import _write_text
 from .errors import ValidationError
 from .grid import TimeGrid, locate_times
 from .losses import cumsum_head
@@ -214,7 +213,5 @@ def write_curves_csv(path, times, values) -> None:
     values = np.atleast_2d(np.asarray(values, dtype=float))
     if values.shape[1] != times.shape[0]:
         raise ValidationError("values must have one column per evaluation time")
-    rows = zip(times.tolist(), values.T)
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerow(["t", *(f"s{i}" for i in range(values.shape[0]))])
-        fh.writelines(",".join(map(repr, [t, *col.tolist()])) + "\r\n" for t, col in rows)
+    head = ",".join(["t", *(f"s{i}" for i in range(values.shape[0]))]) + "\r\n"
+    _write_text(path, head, ([t, *col.tolist()] for t, col in zip(times.tolist(), values.T)))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 
@@ -146,6 +147,20 @@ def _read_rows(fh, width: int, path, error) -> np.ndarray:
     return np.array(rows)
 
 
+def _write_text(path, text: str, rows=(), eol="\r\n") -> None:
+    """Write ``text``, then each row of numbers as shortest round-trip reprs.
+
+    Every file survnet writes goes through here: ``path`` is opened once with
+    ``newline=""``, rows end in ``eol``, and an ``OSError`` names the path once.
+    """
+    try:
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+            fh.writelines(",".join(map(repr, row)) + eol for row in rows)
+    except OSError as exc:  # str(exc) of a failed open would repeat the path
+        raise OSError(f"{path}: {exc.strerror or exc}") from None
+
+
 def load_csv(path) -> SurvivalDataset:
     """Read a dataset from a comma-separated file with a header row.
 
@@ -179,12 +194,12 @@ def write_csv(data: SurvivalDataset, path) -> None:
     Floats are written with shortest round-trip repr, so load after write
     reproduces the arrays bit for bit. The header goes through csv.writer,
     which quotes unusual covariate names; data rows hold only numbers and
-    are joined directly, with csv.writer's CRLF line endings.
+    end in csv.writer's CRLF.
     """
+    head = io.StringIO()
+    csv.writer(head).writerow(["duration", "event", *data.covariate_names])
     rows = zip(data.durations.tolist(), data.events.tolist(), data.covariates)
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerow(["duration", "event", *data.covariate_names])
-        fh.writelines(",".join(map(repr, [d, e, *x.tolist()])) + "\r\n" for d, e, x in rows)
+    _write_text(path, head.getvalue(), ([d, e, *x.tolist()] for d, e, x in rows))
 
 
 @dataclass(frozen=True)

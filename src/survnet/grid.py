@@ -129,7 +129,8 @@ def km_quantile_grid(data, m: int) -> TimeGrid:
     s_end = km_.survival_at(curve, t_max)
     levels = 1.0 - np.arange(1, m) * (1.0 - s_end) / m
     interior = [km_.quantile_time(curve, level) for level in levels]
-    cuts = np.unique(np.concatenate([[0.0], interior, [t_max]]))
+    cuts = np.sort(np.concatenate([[0.0], interior, [t_max]]))
+    cuts = cuts[cuts != np.append(np.nan, cuts[:-1])]  # np.unique imports numpy.ma
     if cuts.size < m + 1:
         warnings.warn(
             f"quantile grid reduced from {m} to {cuts.size - 1} intervals "

@@ -68,7 +68,8 @@ def td_concordance(curves, durations, events) -> float:
         raise ValidationError("durations and events must be 1-d arrays of equal length")
     if curves.n != durations.shape[0]:
         raise ValidationError("need one curve per individual")
-    event_times = np.unique(durations[events == 1])
+    times = np.sort(durations[events == 1])
+    event_times = times[times != np.append(np.nan, times[:-1])]  # np.unique imports numpy.ma
     if event_times.size == 0:
         raise MetricUndefinedError("no comparable pairs: no observed events")
     order = np.argsort(durations, kind="stable")

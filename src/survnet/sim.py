@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import SurvivalDataset, _read_rows
+from .dataset import SurvivalDataset, _read_rows, _write_text
 from .errors import SchemaError, ValidationError
 from .losses import sigmoid
 
@@ -267,10 +267,7 @@ def write_truth_csv(path, result: SimResult) -> None:
     """
     if not np.array_equal(result.times, fine_times()):
         raise ValidationError("truth times must be the fine grid t_max/n_steps, ..., t_max")
-    with open(path, "w", newline="") as fh:
-        fh.write(TRUTH_HEADER + "\n")
-        for row in result.latent.tolist():
-            fh.write(",".join(map(repr, row)) + "\n")
+    _write_text(path, TRUTH_HEADER + "\n", result.latent.tolist(), "\n")
 
 
 def load_truth_csv(path):

@@ -532,19 +532,28 @@ class TestCommandChecks:
         assert capsys.readouterr().err == "error: --num-times must be at least 1, got 0\n"
         assert not curves_csv.exists()
 
-    @pytest.mark.parametrize("command", ["fit", "evaluate"])
+    # "fit" fails on --log and "evaluate" on --out
+    @pytest.mark.parametrize("command", ["simulate-out", "simulate-truth", "fit", "fit-out",
+                                         "predict-out", "evaluate"])
     def test_failed_write_names_the_path(self, pipeline, tmp_path, capsys, command):
-        model = tmp_path / "model.json"
-        if command == "fit":
-            argv = fit_args(pipeline, model, extra=["--log", "/dev/full"])
-        else:
+        model, out, truth = tmp_path / "model.json", tmp_path / "out", tmp_path / "truth.csv"
+        if command.startswith(("predict", "evaluate")):
             assert run_cli(*fit_args(pipeline, model)) == 0
-            argv = ["evaluate", "--model", str(model), "--data", str(pipeline["test"]),
-                    "--out", "/dev/full"]
+        inputs = ["--model", str(model), "--data", str(pipeline["test"])]
+        argv = {
+            "simulate-out": ["simulate", "--n", "10", "--out", "/dev/full", "--truth", str(truth)],
+            "simulate-truth": ["simulate", "--n", "10", "--out", str(out), "--truth", "/dev/full"],
+            "fit": fit_args(pipeline, out, extra=["--log", "/dev/full"]),
+            "fit-out": fit_args(pipeline, "/dev/full"),
+            "predict-out": ["predict", *inputs, "--out", "/dev/full"],
+            "evaluate": ["evaluate", *inputs, "--out", "/dev/full"],
+        }[command]
         capsys.readouterr()
         assert run_cli(*argv) == 1
         err = assert_one_line_error(capsys)
         assert err == "error: cannot read or write a file: /dev/full: No space left on device\n"
+        # the main output is written last: a failed log or truth write leaves none
+        assert not out.exists()
 
 
 # The directory holding the imported survnet package, for child processes.
@@ -559,12 +568,16 @@ PACKAGE_ROOT = str(Path(survnet.__file__).resolve().parent.parent)
 CROSS_THREAD_ATOL = 1e-12
 
 
-def cli_process(*argv, threads=1):
-    """Run ``python -m survnet.cli`` in a child pinned to a BLAS thread count."""
+def python_process(*args, threads=1):
+    """Run ``python *args`` in a child that imports this survnet, pinned to a BLAS thread count."""
     path = [PACKAGE_ROOT, *filter(None, [os.environ.get("PYTHONPATH")])]
     env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), PYTHONPATH=os.pathsep.join(path))
-    return subprocess.run([sys.executable, "-m", "survnet.cli", *argv], env=env,
-                          capture_output=True, text=True)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
+def cli_process(*argv, threads=1):
+    """Run ``python -m survnet.cli`` in a child pinned to a BLAS thread count."""
+    return python_process("-m", "survnet.cli", *argv, threads=threads)
 
 
 def run_cli_process(threads, *argv):
@@ -625,6 +638,19 @@ class TestOneLineStderr:
         assert proc.stderr.count("\n") == 1, proc.stderr
         m = json.loads(model.read_text())["net"]["widths"][-1]
         assert f" to {m} intervals" in proc.stderr
+
+
+def test_commands_leave_numpy_ma_unimported(pipeline, tmp_path):
+    """fit, predict and evaluate dedupe without np.unique, which imports numpy.ma."""
+    model = tmp_path / "model.json"
+    inputs = ["--model", str(model), "--data", str(pipeline["test"])]
+    argvs = [fit_args(pipeline, model), ["predict", *inputs, "--out", str(tmp_path / "c.csv")],
+             ["evaluate", *inputs, "--truth", str(pipeline["test_truth"])]]
+    proc = python_process("-c", "import sys, numpy; before = set(sys.modules); "
+                          f"from survnet import cli; assert [cli.main(a) for a in {argvs!r}] == "
+                          "[0, 0, 0]; print('numpy.ma' in set(sys.modules) - before)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 def subprocess_pipeline(workdir, threads, data_from=None):

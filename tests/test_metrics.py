@@ -61,6 +61,12 @@ class TestTdConcordance:
         with pytest.raises(MetricUndefinedError):
             td_concordance(curves, [1.0, 2.0], [0, 0])
 
+    @pytest.mark.parametrize("durations", [[np.nan, 2.0, 3.0], [1.0, np.nan, np.nan]])
+    def test_nan_event_time_is_rejected(self, durations):
+        curves = step_curves([0, 1, 2], [[0.5, 0.2]] * 3)
+        with pytest.raises(ValidationError):
+            td_concordance(curves, durations, [1, 1, 0])
+
     def test_matches_pair_enumeration_oracle(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
