@@ -106,13 +106,7 @@ def _merge(args: argparse.Namespace, defaults: dict) -> dict:
     cfg = dict(defaults)
     config_path = getattr(args, "config", None)
     if config_path:
-        try:
-            with open(config_path) as fh:
-                loaded = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ValidationError(f"cannot read config {config_path}: {exc}") from None
-        if not isinstance(loaded, dict):
-            raise ValidationError(f"config {config_path} must hold a JSON object")
+        loaded = _read_json(config_path, ValidationError)
         unknown = set(loaded) - set(defaults)
         if unknown:
             raise ValidationError(f"unknown config keys: {sorted(unknown)}")
@@ -131,6 +125,19 @@ def _merge(args: argparse.Namespace, defaults: dict) -> dict:
         if value is not None:
             cfg[key] = value
     return cfg
+
+
+def _read_json(path, error) -> dict:
+    """The JSON object in ``path``; any other content raises ``error`` naming the file."""
+    with ds._open(path) as fh:
+        text = fh.read()
+    try:
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # also a huge integer or deep nesting
+        raise error(f"{path}: {exc}") from None
+    if not isinstance(doc, dict):
+        raise error(f"{path}: must hold a JSON object")
+    return doc
 
 
 def _config_type_ok(default, value) -> bool:
@@ -159,13 +166,7 @@ def save_model(path, method, time_grid, net, standardizer) -> None:
 
 
 def load_model(path):
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise SchemaError(f"cannot read model {path}: {exc}") from None
-    if not isinstance(doc, dict):
-        raise SchemaError(f"{path}: model file must hold a JSON object")
+    doc = _read_json(path, SchemaError)
     for key in ("format_version", "method", "grid", "net", "standardizer"):
         if key not in doc:
             raise SchemaError(f"{path}: model file is missing {key!r}")
@@ -183,7 +184,9 @@ def load_model(path):
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"{path}: malformed model file ({exc!r})") from None
-    # json.load accepts NaN and Infinity
+    except ValidationError as exc:  # a grid, network or standardizer the constructors reject
+        raise SchemaError(f"{path}: {exc}") from None
+    # json.loads accepts NaN and Infinity
     if not all(np.isfinite(a).all() for a in (*net.weights, *net.biases, std.means)):
         raise SchemaError(f"{path}: model file holds a non-finite weight, bias or mean")
     if not ((std.stds > 0) & (std.stds < np.inf)).all():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import math
@@ -147,18 +148,24 @@ def _read_rows(fh, width: int, path, error) -> np.ndarray:
     return np.array(rows)
 
 
-def _write_text(path, text: str, rows=(), eol="\r\n") -> None:
-    """Write ``text``, then each row of numbers as shortest round-trip reprs.
-
-    Every file survnet writes goes through here: ``path`` is opened once with
-    ``newline=""``, rows end in ``eol``, and an ``OSError`` names the path once.
-    """
+@contextlib.contextmanager
+def _open(path, mode="r"):
+    """Every file survnet reads or writes opens here, as text with ``newline=""``."""
     try:
-        with open(path, "w", newline="") as fh:
-            fh.write(text)
-            fh.writelines(",".join(map(repr, row)) + eol for row in rows)
+        with open(path, mode, newline="") as fh:
+            yield fh
     except OSError as exc:  # str(exc) of a failed open would repeat the path
         raise OSError(f"{path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        exc.reason = f"{path}: {exc.reason}"  # still a UnicodeDecodeError, now naming the file
+        raise
+
+
+def _write_text(path, text: str, rows=(), eol="\r\n") -> None:
+    """Write ``text``, then each row of numbers as shortest round-trip reprs ending in ``eol``."""
+    with _open(path, "w") as fh:
+        fh.write(text)
+        fh.writelines(",".join(map(repr, row)) + eol for row in rows)
 
 
 def load_csv(path) -> SurvivalDataset:
@@ -169,7 +176,7 @@ def load_csv(path) -> SurvivalDataset:
     checked by ``SurvivalDataset``; an error names the file and the first bad
     data row, numbered from 1 (the header is row 0).
     """
-    with open(path, newline="") as fh:
+    with _open(path) as fh:
         try:
             header = next(csv.reader(fh))
         except StopIteration:

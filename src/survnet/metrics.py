@@ -172,20 +172,17 @@ def mse_vs_truth(curves, truth, eval_grid: EvalGrid) -> float:
                 f"truth has shape {truth.shape}, expected {shape} (individuals x times)"
             )
     squared = np.empty(shape)
-    if streamed:
-        # Each truth block lands in squared; (t - s)**2 equals (s - t)**2 exactly.
+    if streamed:  # each truth block lands in squared, the source of its subtraction
         blocks = sim_._survival_blocks(truth, times, squared)
     else:
         blocks = ((lo, min(lo + block_rows, n), None) for lo in range(0, n, block_rows))
+    source = squared if streamed else truth
     buf = np.empty(min(block_rows, n) * times.size)
     for lo, hi, _ in blocks:
         r = hi - lo
         surv = curves.rows(lo, hi).evaluate(times, out=buf[: r * times.size].reshape(-1, r).T)
         block = squared[lo:hi]
-        if streamed:
-            np.subtract(block, surv, out=block)
-        else:
-            np.subtract(surv, truth[lo:hi], out=block)
+        np.subtract(source[lo:hi], surv, out=block)
         np.square(block, out=block)
     return float(np.mean(squared))
 

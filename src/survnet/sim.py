@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import SurvivalDataset, _read_rows, _write_text
+from .dataset import SurvivalDataset, _open, _read_rows, _write_text
 from .errors import SchemaError, ValidationError
 from .losses import sigmoid
 
@@ -278,7 +278,7 @@ def load_truth_csv(path):
     SchemaError. true_survival(gammas, times) recomputes the exact curves bit
     for bit; metrics.mse_vs_truth does so block by block.
     """
-    with open(path, newline="") as fh:
+    with _open(path) as fh:
         header = fh.readline()
         if not header:
             raise SchemaError(f"{path}: empty truth file")

@@ -420,6 +420,29 @@ class TestModelFile:
         assert "format_version" in assert_one_line_error(capsys)
         assert not (tmp_path / "curves.csv").exists()
 
+    @pytest.mark.parametrize("damage, message", [
+        pytest.param(lambda doc: doc["net"]["weights"][0].pop(),
+                     "weight array size disagrees with widths", id="short-weights"),
+        pytest.param(lambda doc: doc["grid"]["cuts"].reverse(),
+                     "the first cut point must be 0", id="reversed-cuts"),
+        pytest.param(lambda doc: doc["net"]["biases"][0].pop(),
+                     "layer 0: inconsistent parameter shapes", id="short-bias"),
+        pytest.param(lambda doc: doc["net"].update(dropout=1.5),
+                     "dropout rate must be in [0, 1)", id="dropout"),
+        pytest.param(lambda doc: doc["standardizer"].update(means=[doc["standardizer"]["means"]]),
+                     "standardizer means and stds must be 1-d of equal length", id="2d-means"),
+    ])
+    def test_rejected_parameters_name_the_file(
+        self, pipeline, model_text, tmp_path, capsys, damage, message
+    ):
+        doc = json.loads(model_text)
+        damage(doc)
+        broken = tmp_path / "broken.json"
+        broken.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run_cli("evaluate", "--model", str(broken), "--data", str(pipeline["test"])) == 1
+        assert capsys.readouterr().err == f"error: {broken}: {message}\n"
+
     def test_unknown_flag_exits_one(self):
         assert run_cli("fit", "--frobnicate") == 1
 
@@ -553,6 +576,45 @@ class TestCommandChecks:
         err = assert_one_line_error(capsys)
         assert err == "error: cannot read or write a file: /dev/full: No space left on device\n"
         # the main output is written last: a failed log or truth write leaves none
+        assert not out.exists()
+
+    # json.loads raises ValueError or RecursionError here, not JSONDecodeError
+    @pytest.mark.parametrize("flag", ["model", "config"])
+    @pytest.mark.parametrize("text", [
+        pytest.param('{"ibs_points": ' + "1" * 5000 + "}", id="huge-integer"),
+        pytest.param("[" * 100_000 + "]" * 100_000, id="deep-nesting"),
+    ])
+    def test_json_the_parser_rejects_names_the_path(self, pipeline, tmp_path, capsys, flag, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        capsys.readouterr()  # a bad --config is read before --model is required
+        assert run_cli("evaluate", "--data", str(pipeline["test"]), f"--{flag}", str(bad)) == 1
+        assert assert_one_line_error(capsys).startswith(f"error: {bad}: ")
+
+    READS = {"fit": ("train", "val", "config"), "predict": ("model", "data"),
+             "evaluate": ("model", "data", "truth")}
+
+    @pytest.mark.parametrize("kind", ["missing", "directory", "undecodable"])
+    @pytest.mark.parametrize("command, flag", [
+        (command, flag) for command, flags in READS.items() for flag in flags
+    ])
+    def test_failed_read_names_the_path(self, pipeline, tmp_path, capsys, command, flag, kind):
+        model, bad, out = tmp_path / "model.json", tmp_path / "bad", tmp_path / "out"
+        if command != "fit":
+            assert run_cli(*fit_args(pipeline, model)) == 0
+        if kind == "directory":
+            bad.mkdir()
+        elif kind == "undecodable":
+            bad.write_bytes(b"header\n\xff\n")
+        files = {"train": pipeline["train"], "val": pipeline["val"], "model": model,
+                 "data": pipeline["test"], "truth": pipeline["test_truth"], flag: bad}
+        argv = [command, "--out", str(out)]
+        for key in self.READS[command]:
+            argv += [f"--{key}", str(files[key])] if key in files else []
+        capsys.readouterr()
+        assert run_cli(*argv) == 1
+        err = assert_one_line_error(capsys)
+        assert err.startswith("error: cannot read or write a file: ") and str(bad) in err
         assert not out.exists()
 
 
