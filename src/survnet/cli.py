@@ -106,20 +106,19 @@ def _merge(args: argparse.Namespace, defaults: dict) -> dict:
     cfg = dict(defaults)
     config_path = getattr(args, "config", None)
     if config_path:
-        loaded = _read_json(config_path, ValidationError)
-        unknown = set(loaded) - set(defaults)
-        if unknown:
-            raise ValidationError(f"unknown config keys: {sorted(unknown)}")
-        for key, value in loaded.items():
-            if not _config_type_ok(defaults[key], value):
-                raise ValidationError(
-                    f"config {config_path}: {key!r} has the wrong type: {value!r}"
-                )
-            if key in CHOICES and value not in CHOICES[key]:
-                raise ValidationError(
-                    f"config {config_path}: {key!r} must be one of {CHOICES[key]}, got {value!r}"
-                )
-            cfg[key] = float(value) if isinstance(defaults[key], float) else value
+        with ds._open(config_path) as fh:
+            loaded = _read_json(fh)
+            unknown = set(loaded) - set(defaults)
+            if unknown:
+                raise ValidationError(f"unknown config keys: {sorted(unknown)}")
+            for key, value in loaded.items():
+                if not _config_type_ok(defaults[key], value):
+                    raise ValidationError(f"config {key!r} has the wrong type: {value!r}")
+                if key in CHOICES and value not in CHOICES[key]:
+                    raise ValidationError(
+                        f"config {key!r} must be one of {CHOICES[key]}, got {value!r}"
+                    )
+                cfg[key] = float(value) if isinstance(defaults[key], float) else value
     for key in defaults:
         value = getattr(args, key, None)
         if value is not None:
@@ -127,16 +126,15 @@ def _merge(args: argparse.Namespace, defaults: dict) -> dict:
     return cfg
 
 
-def _read_json(path, error) -> dict:
-    """The JSON object in ``path``; any other content raises ``error`` naming the file."""
-    with ds._open(path) as fh:
-        text = fh.read()
+def _read_json(fh) -> dict:
+    """The JSON object in the open file ``fh``; any other content raises SchemaError."""
+    text = fh.read()  # outside the try: a UnicodeDecodeError is a ValueError too
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:  # also a huge integer or deep nesting
-        raise error(f"{path}: {exc}") from None
+        raise SchemaError(str(exc)) from None
     if not isinstance(doc, dict):
-        raise error(f"{path}: must hold a JSON object")
+        raise SchemaError("must hold a JSON object")
     return doc
 
 
@@ -166,35 +164,36 @@ def save_model(path, method, time_grid, net, standardizer) -> None:
 
 
 def load_model(path):
-    doc = _read_json(path, SchemaError)
-    for key in ("format_version", "method", "grid", "net", "standardizer"):
-        if key not in doc:
-            raise SchemaError(f"{path}: model file is missing {key!r}")
-    version = doc["format_version"]
-    if version != FORMAT_VERSION:
-        raise SchemaError(f"{path}: format_version {version!r} is not {FORMAT_VERSION!r}")
-    if doc["method"] not in METHODS:
-        raise SchemaError(f"{path}: unknown method {doc['method']!r}")
-    try:
-        time_grid = grid_.TimeGrid(np.asarray(doc["grid"]["cuts"], dtype=float))
-        net = net_.net_from_dict(doc["net"])
-        std = ds.Standardizer(
-            np.asarray(doc["standardizer"]["means"], dtype=float),
-            np.asarray(doc["standardizer"]["stds"], dtype=float),
-        )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise SchemaError(f"{path}: malformed model file ({exc!r})") from None
-    except ValidationError as exc:  # a grid, network or standardizer the constructors reject
-        raise SchemaError(f"{path}: {exc}") from None
-    # json.loads accepts NaN and Infinity
-    if not all(np.isfinite(a).all() for a in (*net.weights, *net.biases, std.means)):
-        raise SchemaError(f"{path}: model file holds a non-finite weight, bias or mean")
-    if not ((std.stds > 0) & (std.stds < np.inf)).all():
-        raise SchemaError(f"{path}: standardizer scales must be finite and positive")
-    if net.out_dim != time_grid.m:
-        raise SchemaError(
-            f"{path}: network outputs {net.out_dim} values, grid has {time_grid.m} intervals"
-        )
+    with ds._open(path) as fh:
+        doc = _read_json(fh)
+        for key in ("format_version", "method", "grid", "net", "standardizer"):
+            if key not in doc:
+                raise SchemaError(f"model file is missing {key!r}")
+        version = doc["format_version"]
+        if version != FORMAT_VERSION:
+            raise SchemaError(f"format_version {version!r} is not {FORMAT_VERSION!r}")
+        if doc["method"] not in METHODS:
+            raise SchemaError(f"unknown method {doc['method']!r}")
+        try:
+            time_grid = grid_.TimeGrid(np.asarray(doc["grid"]["cuts"], dtype=float))
+            net = net_.net_from_dict(doc["net"])
+            std = ds.Standardizer(
+                np.asarray(doc["standardizer"]["means"], dtype=float),
+                np.asarray(doc["standardizer"]["stds"], dtype=float),
+            )
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise SchemaError(f"malformed model file ({exc!r})") from None
+        except ValidationError as exc:  # a grid, network or standardizer the constructors reject
+            raise SchemaError(str(exc)) from None
+        # json.loads accepts NaN and Infinity
+        if not all(np.isfinite(a).all() for a in (*net.weights, *net.biases, std.means)):
+            raise SchemaError("model file holds a non-finite weight, bias or mean")
+        if not ((std.stds > 0) & (std.stds < np.inf)).all():
+            raise SchemaError("standardizer scales must be finite and positive")
+        if net.out_dim != time_grid.m:
+            raise SchemaError(
+                f"network outputs {net.out_dim} values, grid has {time_grid.m} intervals"
+            )
     return doc["method"], time_grid, net, std
 
 
@@ -332,7 +331,9 @@ def _parse_times(raw: str) -> np.ndarray:
 def _model_curves(cfg):
     """The grid, the standardized --data and its curves under the --model."""
     method, time_grid, net, std = load_model(cfg["model"])
-    data = std.apply(ds.load_csv(cfg["data"]))
+    data = ds.load_csv(cfg["data"])
+    with ds._naming(cfg["data"], against=cfg["model"]):
+        data = std.apply(data)
     return time_grid, data, predict_curves(method, net, time_grid, data.covariates, cfg["interp"])
 
 
@@ -350,6 +351,9 @@ def run_evaluate(cfg) -> int:
     truth = truth_times = None
     if cfg["truth"]:
         truth_times, truth = sim_.load_truth_csv(cfg["truth"])
+        with ds._naming(cfg["truth"], against=cfg["data"]):  # before any metric is computed
+            if len(truth.gamma) != data.n:
+                raise ValidationError(f"truth has {len(truth.gamma)} rows for {data.n} individuals")
     reports = evaluate_curves(
         curve, data.durations, data.events, cfg["ibs_points"], truth, truth_times
     )

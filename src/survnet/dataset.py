@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SchemaError, ValidationError
+from .errors import SchemaError, SurvnetError, ValidationError
 
 
 class SurvivalDataset:
@@ -120,14 +120,14 @@ def _parse_plain(fh, width: int):
     return data if data.shape == (n_rows, width) else None
 
 
-def _read_rows(fh, width: int, path, error) -> np.ndarray:
+def _read_rows(fh, width: int) -> np.ndarray:
     """The rows after the header as an (n, width) float64 array.
 
     ``fh`` is a file opened with ``newline=""`` whose header row ``csv.reader``
     has read. Files of plain numbers are parsed in one ``np.loadtxt`` call and
     any other file by ``csv`` row by row, with the same result. A file without
     rows, a row of the wrong width or a value that ``float`` rejects raises
-    ``error``; rows are numbered from 1 (the header is row 0).
+    SchemaError; rows are numbered from 1 (the header is row 0).
     """
     data = _parse_plain(fh, width)
     if data is not None:
@@ -138,27 +138,39 @@ def _read_rows(fh, width: int, path, error) -> np.ndarray:
     rows = []
     for rownum, row in enumerate(reader, start=1):
         if len(row) != width:
-            raise error(f"{path}: row {rownum} has {len(row)} values, expected {width}")
+            raise SchemaError(f"row {rownum} has {len(row)} values, expected {width}")
         try:
             rows.append([float(v) for v in row])
         except ValueError as exc:
-            raise error(f"{path}: row {rownum}: {exc}") from None
+            raise SchemaError(f"row {rownum}: {exc}") from None
     if not rows:
-        raise error(f"{path}: no data rows")
+        raise SchemaError("no data rows")
     return np.array(rows)
+
+
+@contextlib.contextmanager
+def _naming(path, against=None):
+    """The one place an error names a file: ``<path>: `` or ``<path> against <against>: ``."""
+    name = path if against is None else f"{path} against {against}"
+    try:
+        yield
+    except (SurvnetError, OSError) as exc:  # str(exc) of a failed open would repeat the path
+        raise type(exc)(f"{name}: {getattr(exc, 'strerror', None) or exc}") from None
+    except UnicodeDecodeError as exc:  # stays one, the name put before its reason
+        exc.reason = f"{name}: {exc.reason}"
+        raise
 
 
 @contextlib.contextmanager
 def _open(path, mode="r"):
     """Every file survnet reads or writes opens here, as text with ``newline=""``."""
-    try:
-        with open(path, mode, newline="") as fh:
+    with _naming(path), open(path, mode, newline="") as fh:
+        try:
             yield fh
-    except OSError as exc:  # str(exc) of a failed open would repeat the path
-        raise OSError(f"{path}: {exc.strerror or exc}") from None
-    except UnicodeDecodeError as exc:
-        exc.reason = f"{path}: {exc.reason}"  # still a UnicodeDecodeError, now naming the file
-        raise
+        except UnicodeDecodeError:  # placed within its chunk; decode again from byte 0
+            fh.buffer.seek(0)
+            fh.buffer.read().decode(fh.encoding)
+            raise
 
 
 def _write_text(path, text: str, rows=(), eol="\r\n") -> None:
@@ -180,19 +192,16 @@ def load_csv(path) -> SurvivalDataset:
         try:
             header = next(csv.reader(fh))
         except StopIteration:
-            raise SchemaError(f"{path}: empty file, a header row is required") from None
+            raise SchemaError("empty file, a header row is required") from None
         for col in ("duration", "event"):
             if col not in header:
-                raise SchemaError(f"{path}: missing required column {col!r}")
-        data = _read_rows(fh, len(header), path, ValidationError)
-    d_pos, e_pos = header.index("duration"), header.index("event")
-    cov_pos = [i for i in range(len(header)) if i not in (d_pos, e_pos)]
-    try:
+                raise SchemaError(f"missing required column {col!r}")
+        data = _read_rows(fh, len(header))
+        d_pos, e_pos = header.index("duration"), header.index("event")
+        cov_pos = [i for i in range(len(header)) if i not in (d_pos, e_pos)]
         return SurvivalDataset(
             data[:, d_pos], data[:, e_pos], data[:, cov_pos], [header[i] for i in cov_pos]
         )
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from None
 
 
 def write_csv(data: SurvivalDataset, path) -> None:
@@ -211,14 +220,18 @@ def write_csv(data: SurvivalDataset, path) -> None:
 
 @dataclass(frozen=True)
 class Standardizer:
-    """Per-column location and scale for covariates."""
+    """Per-column location and scale for covariates, kept as read-only copies."""
 
     means: np.ndarray
     stds: np.ndarray
 
     def __post_init__(self):
-        if np.ndim(self.means) != 1 or np.shape(self.means) != np.shape(self.stds):
+        means, stds = np.array(self.means, dtype=float), np.array(self.stds, dtype=float)
+        if means.ndim != 1 or means.shape != stds.shape:
             raise ValidationError("standardizer means and stds must be 1-d of equal length")
+        for name, arr in (("means", means), ("stds", stds)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     def apply(self, data: SurvivalDataset) -> SurvivalDataset:
         if self.means.shape[0] != data.p:

@@ -5,12 +5,12 @@ class SurvnetError(Exception):
     """Base class for all survnet errors."""
 
 
-class SchemaError(SurvnetError):
-    """A required column, field or file section is missing or malformed."""
-
-
 class ValidationError(SurvnetError):
     """Input violates a contract: bad value, bad shape, bad configuration."""
+
+
+class SchemaError(ValidationError):
+    """A required column, field or file section is missing or malformed."""
 
 
 class NumericalError(SurvnetError):

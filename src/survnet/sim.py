@@ -281,12 +281,12 @@ def load_truth_csv(path):
     with _open(path) as fh:
         header = fh.readline()
         if not header:
-            raise SchemaError(f"{path}: empty truth file")
+            raise SchemaError("empty truth file")
         header = header.rstrip("\r\n")
         if header != TRUTH_HEADER:
-            raise SchemaError(f"{path}: unrecognised truth file header {header[:40]!r}")
-        latent = _read_rows(fh, N_LATENT, path, SchemaError)
-    finite = np.isfinite(latent).all(axis=1)
-    if not finite.all():
-        raise SchemaError(f"{path}: row {np.argmin(finite) + 1} has a non-finite value")
+            raise SchemaError(f"unrecognised truth file header {header[:40]!r}")
+        latent = _read_rows(fh, N_LATENT)
+        finite = np.isfinite(latent).all(axis=1)
+        if not finite.all():
+            raise SchemaError(f"row {np.argmin(finite) + 1} has a non-finite value")
     return fine_times(), gammas_from_latent(latent)

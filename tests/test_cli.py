@@ -310,7 +310,40 @@ class TestPredictAndEvaluate:
             "evaluate", "--model", str(model), "--data", str(pipeline["test"]),
             "--truth", str(pipeline["train_truth"]),
         ) == 1
-        assert capsys.readouterr().err == "error: truth has 500 rows for 400 individuals\n"
+        assert capsys.readouterr().err == (
+            f"error: {pipeline['train_truth']} against {pipeline['test']}: "
+            "truth has 500 rows for 400 individuals\n"
+        )
+
+    def test_truth_for_another_n_fails_before_any_metric(self, pipeline, tmp_path, monkeypatch):
+        model = tmp_path / "model.json"
+        assert run_cli(*fit_args(pipeline, model)) == 0
+
+        def no_metric(*args, **kwargs):
+            raise AssertionError("a metric was computed")
+
+        monkeypatch.setattr(cli.metrics_, "td_concordance", no_metric)
+        monkeypatch.setattr(cli.metrics_, "integrated_brier_score", no_metric)
+        assert run_cli(
+            "evaluate", "--model", str(model), "--data", str(pipeline["test"]),
+            "--truth", str(pipeline["train_truth"]),
+        ) == 1
+
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    def test_data_of_another_width_names_data_and_model(self, pipeline, tmp_path, capsys,
+                                                        command):
+        model, narrow, out = tmp_path / "model.json", tmp_path / "narrow.csv", tmp_path / "out"
+        assert run_cli(*fit_args(pipeline, model)) == 0
+        rows = pipeline["test"].read_text().splitlines()
+        narrow.write_text("".join(",".join(row.split(",")[:3]) + "\n" for row in rows))
+        capsys.readouterr()
+        assert run_cli(command, "--model", str(model), "--data", str(narrow),
+                       "--out", str(out)) == 1
+        p = len(rows[0].split(",")) - 2
+        assert capsys.readouterr().err == (
+            f"error: {narrow} against {model}: standardizer expects p={p}, data has p=1\n"
+        )
+        assert not out.exists()
 
     @pytest.mark.parametrize("content", [
         b"a,b,c\n1,2,3\n",

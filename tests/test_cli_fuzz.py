@@ -6,7 +6,8 @@ readers trip on. Beside them run fixed values that overflow: a config with a
 learning rate of 1e300 and, per method, a model whose outputs hold NaN.
 Every command run on them must exit 0, 1 or 2 with at most one line on
 stderr and no traceback, each Python warning counted as the two lines it
-would print outside pytest; on exit 0 every report, model and log written
+would print outside pytest, and that line names the damaged file at most
+once; on exit 0 every report, model and log written
 must be strict JSON and every curves file must hold survival values in
 [0, 1], and on exit 2 the line is a numerical failure. The cases come from
 one fixed seed, so a run repeats exactly, and they reach all three exits.
@@ -188,6 +189,8 @@ def test_damaged_inputs_exit_cleanly(inputs, tmp_path, capsys):
             # outside pytest a warning prints its message and its source line
             if err.count("\n") + 2 * len(caught) > 1 or "Traceback" in err:
                 problems.append(f"stderr {err!r}, warnings {[str(w.message) for w in caught]}")
+            if err.count(str(path)) > 1:
+                problems.append(f"stderr names the damaged file more than once: {err!r}")
             if code == 0:
                 problems += check_outputs(out)
             if code == 2 and not err.startswith("numerical failure: "):

@@ -217,6 +217,15 @@ class TestLoadCsvFastPath:
         with pytest.raises(UnicodeDecodeError):
             load_csv(path)
 
+    def test_undecodable_byte_is_placed_by_its_offset_in_the_file(self, tmp_path):
+        # past the first 8 KB, the chunk a text file decodes at a time
+        head = b"duration,event,x0\n" + b"1.0,1,0.5\n" * 3000 + b"2.0,0,"
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(head + b"\xff\n")
+        with pytest.raises(UnicodeDecodeError) as info:
+            load_csv(path)
+        assert f"in position {len(head)}: {path}: invalid start byte" in str(info.value)
+
 
 class TestStandardizer:
     def test_closed_form_column(self):

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from survnet.curves import pc_hazard_curve
-from survnet.dataset import SurvivalDataset
+from survnet.dataset import Standardizer, SurvivalDataset
 from survnet.errors import ValidationError
 from survnet.grid import (
     DiscreteLabels,
@@ -268,10 +268,13 @@ class TestTimeGrid:
     (GammaSet, "gamma", [[0.5] * 9]),
     (lambda a: KaplanMeierCurve(a, [0.75, 0.5]), "times", [1.0, 2.0]),
     (lambda a: KaplanMeierCurve([1.0, 2.0], a), "surv", [0.75, 0.5]),
-], ids=["labels", "pc-hazard", "gamma", "km-times", "km-surv"])
+    (lambda a: Standardizer(a, np.ones(2)), "means", [0.5, -0.25]),
+    (lambda a: Standardizer(np.zeros(2), a), "stds", [0.5, 0.25]),
+], ids=["labels", "pc-hazard", "gamma", "km-times", "km-surv", "means", "stds"])
 def test_constructor_leaves_the_callers_array_writeable(build, attr, values):
     a = np.array(values, dtype=float)
     built = build(a)
     assert a.flags.writeable
+    assert not getattr(built, attr).flags.writeable
     a[...] = 0.0
     np.testing.assert_array_equal(getattr(built, attr), values)
