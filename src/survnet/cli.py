@@ -131,8 +131,11 @@ def _read_json(fh) -> dict:
     text = fh.read()  # outside the try: a UnicodeDecodeError is a ValueError too
     try:
         doc = json.loads(text)
-    except (ValueError, RecursionError) as exc:  # also a huge integer or deep nesting
+    except (json.JSONDecodeError, RecursionError) as exc:  # also deep nesting
         raise SchemaError(str(exc)) from None
+    except ValueError:  # json's only other error: an integer past int()'s digit limit
+        limit = sys.get_int_max_str_digits()
+        raise SchemaError(f"an integer has more than {limit} digits") from None
     if not isinstance(doc, dict):
         raise SchemaError("must hold a JSON object")
     return doc

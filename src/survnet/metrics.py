@@ -17,6 +17,8 @@ from . import sim as sim_
 from .errors import MetricUndefinedError, ValidationError
 
 _CHUNK = 256
+# Rows of curves evaluated at a time by mse_vs_truth.
+_BLOCK_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -153,36 +155,32 @@ def mse_vs_truth(curves, truth, eval_grid: EvalGrid) -> float:
     """Mean over individuals and times of the squared estimation error.
 
     The truth is an individuals x times array, or a sim.GammaSet whose exact
-    curves are then computed block by block straight into the squared-error
-    array. Curves are evaluated sim._BLOCK_ROWS rows at a time into one
+    curves sim.true_survival computes; that array then takes the squared
+    errors in place. Curves are evaluated _BLOCK_ROWS rows at a time into one
     reused buffer; only the squared errors are held in full, and one mean
     sums them as an unblocked one would.
     """
     times = eval_grid.times
-    n, block_rows = curves.n, sim_._BLOCK_ROWS
+    n = curves.n
     shape = (n, times.size)
-    streamed = isinstance(truth, sim_.GammaSet)
-    if streamed:
+    if isinstance(truth, sim_.GammaSet):
         if truth.gamma.shape[0] != n:
             raise ValidationError(f"truth has {truth.gamma.shape[0]} rows for {n} individuals")
+        truth = squared = sim_.true_survival(truth, times)
     else:
         truth = np.asarray(truth, dtype=float)
         if truth.shape != shape:
             raise ValidationError(
                 f"truth has shape {truth.shape}, expected {shape} (individuals x times)"
             )
-    squared = np.empty(shape)
-    if streamed:  # each truth block lands in squared, the source of its subtraction
-        blocks = sim_._survival_blocks(truth, times, squared)
-    else:
-        blocks = ((lo, min(lo + block_rows, n), None) for lo in range(0, n, block_rows))
-    source = squared if streamed else truth
-    buf = np.empty(min(block_rows, n) * times.size)
-    for lo, hi, _ in blocks:
+        squared = np.empty(shape)
+    buf = np.empty(min(_BLOCK_ROWS, n) * times.size)
+    for lo in range(0, n, _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, n)
         r = hi - lo
         surv = curves.rows(lo, hi).evaluate(times, out=buf[: r * times.size].reshape(-1, r).T)
         block = squared[lo:hi]
-        np.subtract(source[lo:hi], surv, out=block)
+        np.subtract(truth[lo:hi], surv, out=block)
         np.square(block, out=block)
     return float(np.mean(squared))
 

@@ -235,16 +235,11 @@ def generate_dataset(cfg: SimConfig) -> SimResult:
     durations = np.empty(cfg.n)
     events = np.empty(cfg.n, dtype=int)
     truth = np.empty((cfg.n, N_STEPS))
-    # Each stream fills its block buffer in row-major order, so the draws are
-    # the same whatever the block size.
-    uniforms = np.empty((min(_BLOCK_ROWS, cfg.n), N_STEPS))
-    hits = np.empty(uniforms.shape, dtype=bool)
+    # Each stream draws a block's uniforms in row-major order, so the draws
+    # are the same whatever the block size.
     for lo, hi, h in _survival_blocks(gammas, times, truth):
-        u, hit = uniforms[: hi - lo], hits[: hi - lo]
-        t_event = _first_hit_time(np.less(event_rng.random(out=u), h, out=hit), times)
-        t_cens = _first_hit_time(
-            np.less(cens_rng.random(out=u), cfg.censor_hazard, out=hit), times
-        )
+        t_event = _first_hit_time(event_rng.random(h.shape) < h, times)
+        t_cens = _first_hit_time(cens_rng.random(h.shape) < cfg.censor_hazard, times)
         t_cens = np.minimum(t_cens, T_MAX)
         durations[lo:hi] = np.minimum(t_event, t_cens)
         events[lo:hi] = t_event <= t_cens
@@ -276,7 +271,7 @@ def load_truth_csv(path):
     The file must be one write_truth_csv produced: TRUTH_HEADER, then latent
     scores, mapped to the hazard parameters. Anything else raises
     SchemaError. true_survival(gammas, times) recomputes the exact curves bit
-    for bit; metrics.mse_vs_truth does so block by block.
+    for bit.
     """
     with _open(path) as fh:
         header = fh.readline()

@@ -553,6 +553,13 @@ class TestOptions:
         flags = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", readme))
         assert "--lr" in flags and not flags - known, sorted(flags - known)
 
+    def test_readme_quickstart_runs(self, capsys):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        (block,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+        capsys.readouterr()
+        exec(block, {})
+        assert 0.5 < float(capsys.readouterr().out) <= 1.0
+
 
 REQUIRED_FLAGS = {
     "simulate": ("out",), "fit": ("train", "val", "out"),
@@ -623,6 +630,18 @@ class TestCommandChecks:
         capsys.readouterr()  # a bad --config is read before --model is required
         assert run_cli("evaluate", "--data", str(pipeline["test"]), f"--{flag}", str(bad)) == 1
         assert assert_one_line_error(capsys).startswith(f"error: {bad}: ")
+
+    # Python's own message tells the user to call sys.set_int_max_str_digits()
+    @pytest.mark.parametrize("flag", ["config", "model"])
+    def test_huge_integer_states_the_digit_limit(self, pipeline, tmp_path, capsys, flag):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"lr": ' + "1" * 5000 + "}")
+        argv = {"config": fit_args(pipeline, tmp_path / "out", extra=["--config", str(bad)]),
+                "model": ["evaluate", "--model", str(bad), "--data", str(pipeline["test"])]}[flag]
+        capsys.readouterr()
+        assert run_cli(*argv) == 1
+        limit = sys.get_int_max_str_digits()
+        assert capsys.readouterr().err == f"error: {bad}: an integer has more than {limit} digits\n"
 
     READS = {"fit": ("train", "val", "config"), "predict": ("model", "data"),
              "evaluate": ("model", "data", "truth")}

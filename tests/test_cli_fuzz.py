@@ -2,8 +2,10 @@
 
 A dataset CSV, a truth file, a model file of each method and a fit config
 are cut short, have bytes changed or deleted, or get tokens inserted that
-readers trip on. Beside them run fixed values that overflow: a config with a
-learning rate of 1e300 and, per method, a model whose outputs hold NaN.
+readers trip on. Beside them run fixed extreme values: a config whose
+learning rate, weight decay or dropout is 1e300, -0.0 or 0.9999999999999999,
+a training set with one covariate scaled by 1e200 or with no events, and,
+per method, a model whose outputs hold NaN.
 Every command run on them must exit 0, 1 or 2 with at most one line on
 stderr and no traceback, each Python warning counted as the two lines it
 would print outside pytest, and that line names the damaged file at most
@@ -85,12 +87,22 @@ def inputs(tmp_path_factory):
 
 
 def value_cases(files, root):
-    """(target, file) pairs for the clean inputs with values that overflow."""
+    """(target, file) pairs for the clean inputs with extreme values."""
     config = json.loads(files["config"].read_text())
-    config["lr"] = 1e300
-    path = root / "lr_1e300.json"
-    path.write_text(json.dumps(config))
-    yield "config", path
+    for key in ("lr", "weight_decay", "dropout"):
+        for value in (1e300, -0.0, 0.9999999999999999):
+            path = root / f"{key}_{value!r}.json"
+            path.write_text(json.dumps({**config, key: value}))
+            yield "config", path
+    # the training set with its first covariate scaled by 1e200, then with no events
+    header, *rows = files["train"].read_text().splitlines()
+    rows = [row.split(",") for row in rows]
+    for name, column, change in (("scaled", 2, lambda v: repr(float(v) * 1e200)),
+                                 ("no_events", 1, lambda v: "0")):
+        path = root / f"train_{name}.csv"
+        lines = [",".join([*row[:column], change(row[column]), *row[column + 1 :]]) for row in rows]
+        path.write_text("\n".join([header, *lines, ""]))
+        yield "train", path
     for method in cli.METHODS:
         # Every hidden unit computes the same 1e308 * (row sum + 1), which is
         # +inf for some rows; output weights alternating in sign over the

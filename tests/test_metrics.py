@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from survnet import km, metrics, sim
+from survnet import km, metrics
 from survnet.errors import MetricUndefinedError, ValidationError
 from survnet.grid import TimeGrid, equidistant_grid
 from survnet.curves import SurvivalCurve, pc_hazard_curve, surv_from_hazard, surv_from_pmf
@@ -407,7 +407,7 @@ class TestBlockedEquivalence:
         surv = curves.evaluate(grid.times)
         expected = np.mean((surv - truth) ** 2)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(sim, "_BLOCK_ROWS", block)
+            mp.setattr(metrics, "_BLOCK_ROWS", block)
             assert mse_vs_truth(curves, truth, grid) == expected
             assert mse_vs_truth(curves, gammas, grid) == expected
 
@@ -431,7 +431,7 @@ class TestMemory:
     """Full-size n x T temporaries would add tens of MB at these sizes."""
 
     N, T = 4100, 1000
-    BLOCK_BYTES = sim._BLOCK_ROWS * T * 8
+    BLOCK_BYTES = metrics._BLOCK_ROWS * T * 8
 
     @pytest.mark.parametrize("kind", ["step", "cdi", "chi", "pc-hazard"])
     def test_mse_holds_only_the_squared_errors(self, kind):

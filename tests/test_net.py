@@ -479,11 +479,11 @@ class TestWorkspace:
         The training workspace (pre-activations, activations, dropout masks
         and deltas for 256 rows, and the flat gradient), the validation
         workspace (pre-activations and activations for the 1,000 validation
-        rows), the parameter, best, moment and scratch buffers, the batch
-        input and the permutation stay allocated for the whole fit; on top of
-        them the validation loss holds a few n_val x (m + 1) arrays. Measured
-        4.11-4.55 MB over the three losses. Before the workspace the peak was
-        3.55 MB: the per-step arrays were freed before each validation pass.
+        rows), the parameter, best and moment buffers and the permutation
+        stay allocated for the whole fit; on top of them the validation loss
+        holds a few n_val x (m + 1) arrays. Measured 3.96-4.32 MB over the
+        three losses. Before the workspace the peak was 3.55 MB: the per-step
+        arrays were freed before each validation pass.
         """
         rng = np.random.default_rng(0)
         n, n_val, p, m, rows = 5000, 1000, 9, 25, 256
@@ -500,7 +500,7 @@ class TestWorkspace:
         outputs, hidden = sum(widths[1:]), sum(widths[1:-1])
         train_work = 8 * (rows * (outputs + 3 * hidden) + n_params)
         val_work = 8 * n_val * (outputs + hidden)
-        persistent = train_work + val_work + 8 * (6 * n_params + rows * p + n)
+        persistent = train_work + val_work + 8 * (4 * n_params + n)
         val_loss_arrays = 4 * 8 * n_val * (m + 1)
         bound = persistent + val_loss_arrays + 256 * 1024
         for loss_fn in (nll_logistic_hazard, nll_pmf, nll_pc_hazard):
