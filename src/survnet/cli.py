@@ -178,14 +178,15 @@ def load_model(path):
         if doc["method"] not in METHODS:
             raise SchemaError(f"unknown method {doc['method']!r}")
         try:
-            time_grid = grid_.TimeGrid(np.asarray(doc["grid"]["cuts"], dtype=float))
+            time_grid = grid_.TimeGrid(doc["grid"]["cuts"])
             net = net_.net_from_dict(doc["net"])
-            std = ds.Standardizer(
-                np.asarray(doc["standardizer"]["means"], dtype=float),
-                np.asarray(doc["standardizer"]["stds"], dtype=float),
-            )
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise SchemaError(f"malformed model file ({exc!r})") from None
+            std = ds.Standardizer(doc["standardizer"]["means"], doc["standardizer"]["stds"])
+        except KeyError as exc:  # str() of a KeyError is the repr of its key
+            raise SchemaError(f"model file is missing {exc}") from None
+        except OverflowError:  # a JSON integer past the largest float
+            raise SchemaError("model file holds a number beyond float range") from None
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(f"malformed model file: {exc}") from None
         except ValidationError as exc:  # a grid, network or standardizer the constructors reject
             raise SchemaError(str(exc)) from None
         # json.loads accepts NaN and Infinity
@@ -262,12 +263,6 @@ def run_simulate(cfg) -> int:
     return 0
 
 
-def _build_grid(scheme, data, m):
-    if scheme == "equidistant":
-        return grid_.equidistant_grid(float(data.durations.max()), m)
-    return grid_.km_quantile_grid(data, m)
-
-
 def _labels_for(method, data, time_grid):
     if method == "pc-hazard":
         return grid_.continuous_labels(data, time_grid)
@@ -282,7 +277,10 @@ def run_fit(cfg) -> int:
     train_s, val_s = std.apply(train), std.apply(val)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", grid_.GridDeduplicationWarning)
-        time_grid = _build_grid(cfg["grid_scheme"], train, cfg["m"])
+        if cfg["grid_scheme"] == "equidistant":
+            time_grid = grid_.equidistant_grid(float(train.durations.max()), cfg["m"])
+        else:
+            time_grid = grid_.km_quantile_grid(train, cfg["m"])
     for caught_warning in caught:  # e.g. the quantile grid shrank
         print(f"warning: {caught_warning.message}", file=sys.stderr)
     train_labels = _labels_for(method, train, time_grid)

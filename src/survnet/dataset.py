@@ -6,7 +6,6 @@ import contextlib
 import csv
 import io
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -218,20 +217,19 @@ def write_csv(data: SurvivalDataset, path) -> None:
     _write_text(path, head.getvalue(), ([d, e, *x.tolist()] for d, e, x in rows))
 
 
-@dataclass(frozen=True)
 class Standardizer:
-    """Per-column location and scale for covariates, kept as read-only copies."""
+    """Per-column location and scale for covariates.
 
-    means: np.ndarray
-    stds: np.ndarray
+    Checked when built; keeps read-only copies of its arrays; compares and hashes by identity.
+    """
 
-    def __post_init__(self):
-        means, stds = np.array(self.means, dtype=float), np.array(self.stds, dtype=float)
+    def __init__(self, means, stds):
+        means, stds = np.array(means, dtype=float), np.array(stds, dtype=float)
         if means.ndim != 1 or means.shape != stds.shape:
             raise ValidationError("standardizer means and stds must be 1-d of equal length")
-        for name, arr in (("means", means), ("stds", stds)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        means.setflags(write=False)
+        stds.setflags(write=False)
+        self.means, self.stds = means, stds
 
     def apply(self, data: SurvivalDataset) -> SurvivalDataset:
         if self.means.shape[0] != data.p:

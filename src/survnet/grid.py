@@ -10,7 +10,6 @@ exact position inside the interval for the piecewise-constant hazard loss.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,14 +21,14 @@ class GridDeduplicationWarning(UserWarning):
     """Quantile grid points collided and the grid shrank."""
 
 
-@dataclass(frozen=True)
 class TimeGrid:
-    """Ordered cut points 0 = c_0 < c_1 < ... < c_m bounding m intervals."""
+    """Ordered cut points 0 = c_0 < c_1 < ... < c_m bounding m intervals.
 
-    cuts: np.ndarray
+    Checked when built; keeps read-only copies of its arrays; compares and hashes by identity.
+    """
 
-    def __post_init__(self):
-        cuts = np.array(self.cuts, dtype=float)
+    def __init__(self, cuts):
+        cuts = np.array(cuts, dtype=float)
         if cuts.ndim != 1 or cuts.size < 2:
             raise ValidationError("a grid needs at least two cut points")
         if cuts[0] != 0.0:
@@ -39,7 +38,7 @@ class TimeGrid:
         if np.any(np.diff(cuts) <= 0):
             raise ValidationError("cut points must be strictly increasing")
         cuts.setflags(write=False)
-        object.__setattr__(self, "cuts", cuts)
+        self.cuts = cuts
 
     @property
     def m(self) -> int:
@@ -54,18 +53,16 @@ class TimeGrid:
         return float(self.cuts[-1])
 
 
-@dataclass(frozen=True)
 class DiscreteLabels:
-    """Per-record interval index, event indicator and within-interval fraction."""
+    """Per-record interval index, event indicator and within-interval fraction.
 
-    idx: np.ndarray
-    event: np.ndarray
-    frac: np.ndarray
+    Checked when built; keeps read-only copies of its arrays; compares and hashes by identity.
+    """
 
-    def __post_init__(self):
-        idx = np.asarray(self.idx, dtype=float)
-        event = np.asarray(self.event, dtype=float)
-        frac = np.array(self.frac, dtype=float)
+    def __init__(self, idx, event, frac):
+        idx = np.asarray(idx, dtype=float)
+        event = np.asarray(event, dtype=float)
+        frac = np.array(frac, dtype=float)
         if not (idx.shape == event.shape == frac.shape) or idx.ndim != 1:
             raise ValidationError("label arrays must be 1-d and of equal length")
         if not (np.isfinite(idx) & (idx >= 0) & (np.floor(idx) == idx)).all():
@@ -79,9 +76,7 @@ class DiscreteLabels:
             raise ValidationError("an observed event needs interval index >= 1")
         for arr in (idx, event, frac):
             arr.setflags(write=False)
-        object.__setattr__(self, "idx", idx)
-        object.__setattr__(self, "event", event)
-        object.__setattr__(self, "frac", frac)
+        self.idx, self.event, self.frac = idx, event, frac
 
     def __len__(self) -> int:
         return self.idx.shape[0]
@@ -95,10 +90,9 @@ class DiscreteLabels:
         if indices.ndim != 1:
             raise ValidationError("take needs a 1-d array of record indices")
         sub = object.__new__(DiscreteLabels)
-        for name in ("idx", "event", "frac"):
-            arr = getattr(self, name)[indices]
+        sub.idx, sub.event, sub.frac = self.idx[indices], self.event[indices], self.frac[indices]
+        for arr in (sub.idx, sub.event, sub.frac):
             arr.setflags(write=False)
-            object.__setattr__(sub, name, arr)
         return sub
 
 
@@ -179,8 +173,7 @@ def continuous_labels(data, grid: TimeGrid) -> DiscreteLabels:
 
     The index is the interval containing the time and the fraction its
     position inside that interval, as consumed by the piecewise-constant
-    hazard loss. Durations beyond the last cut are clamped to it.
+    hazard loss. Durations beyond the last cut are clamped to it by locate_times.
     """
-    t = np.minimum(data.durations, grid.t_max)
-    k, rho = locate_times(t, grid)
+    k, rho = locate_times(data.durations, grid)
     return DiscreteLabels(k, data.events, rho)

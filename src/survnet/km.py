@@ -8,8 +8,6 @@ censoring distribution is the same operation with flipped indicators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ValidationError
@@ -19,19 +17,15 @@ from .errors import ValidationError
 LEVEL_SLACK = 1e-12
 
 
-@dataclass(frozen=True)
 class KaplanMeierCurve:
-    """Drop times and the survival estimate just after each drop.
+    """Drop times and the survival estimate just after each drop; it is 1 before the first.
 
-    The estimate is implicitly 1 before the first drop time.
+    Checked when built; keeps read-only copies of its arrays; compares and hashes by identity.
     """
 
-    times: np.ndarray
-    surv: np.ndarray
-
-    def __post_init__(self):
-        times = np.array(self.times, dtype=float)
-        surv = np.array(self.surv, dtype=float)
+    def __init__(self, times, surv):
+        times = np.array(times, dtype=float)
+        surv = np.array(surv, dtype=float)
         if times.shape != surv.shape or times.ndim != 1:
             raise ValidationError("times and surv must be 1-d arrays of equal length")
         if not (np.diff(times) > 0).all():
@@ -40,8 +34,7 @@ class KaplanMeierCurve:
             raise ValidationError("surv must be non-increasing within [0, 1]")
         times.setflags(write=False)
         surv.setflags(write=False)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "surv", surv)
+        self.times, self.surv = times, surv
 
 
 def fit(durations, events) -> KaplanMeierCurve:

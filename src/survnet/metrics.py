@@ -8,8 +8,6 @@ squared error against a known truth supports simulation studies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import km as km_
@@ -21,20 +19,20 @@ _CHUNK = 256
 _BLOCK_ROWS = 128
 
 
-@dataclass(frozen=True)
 class EvalGrid:
-    """Increasing evaluation times for time-integrated metrics."""
+    """Increasing evaluation times for time-integrated metrics.
 
-    times: np.ndarray
+    Checked when built; keeps read-only copies of its arrays; compares and hashes by identity.
+    """
 
-    def __post_init__(self):
-        times = np.array(self.times, dtype=float)
+    def __init__(self, times):
+        times = np.array(times, dtype=float)
         if times.ndim != 1 or times.size == 0:
             raise ValidationError("an evaluation grid needs at least one time")
         if np.any(np.diff(times) <= 0):
             raise ValidationError("evaluation times must be strictly increasing")
         times.setflags(write=False)
-        object.__setattr__(self, "times", times)
+        self.times = times
 
     @classmethod
     def equidistant(cls, durations, n_points: int = 100) -> "EvalGrid":

@@ -75,18 +75,18 @@ def fine_times(n_steps: int = N_STEPS, t_max: float = T_MAX) -> np.ndarray:
     return np.linspace(t_max / n_steps, t_max, n_steps)
 
 
-@dataclass(frozen=True)
 class GammaSet:
-    """Hazard-shape parameters, one row of nine per individual."""
+    """Hazard-shape parameters, one row of nine per individual.
 
-    gamma: np.ndarray
+    Checked when built; keeps read-only copies of its arrays; compares and hashes by identity.
+    """
 
-    def __post_init__(self):
-        gamma = np.atleast_2d(np.array(self.gamma, dtype=float))
+    def __init__(self, gamma):
+        gamma = np.atleast_2d(np.array(gamma, dtype=float))
         if gamma.shape[1] != N_LATENT:
             raise ValidationError(f"gamma needs {N_LATENT} columns")
         gamma.setflags(write=False)
-        object.__setattr__(self, "gamma", gamma)
+        self.gamma = gamma
 
     @property
     def alpha(self) -> np.ndarray:

@@ -476,6 +476,31 @@ class TestModelFile:
         assert run_cli("evaluate", "--model", str(broken), "--data", str(pipeline["test"])) == 1
         assert capsys.readouterr().err == f"error: {broken}: {message}\n"
 
+    # worded as one line, without the repr of the Python exception behind it
+    @pytest.mark.parametrize("damage, message", [
+        pytest.param(lambda doc: doc["grid"]["cuts"].__setitem__(1, 10**400),
+                     "model file holds a number beyond float range", id="huge-cut"),
+        pytest.param(lambda doc: doc["grid"].pop("cuts"),
+                     "model file is missing 'cuts'", id="no-cuts"),
+        pytest.param(lambda doc: doc.update(grid=[]),
+                     "malformed model file: list indices must be integers or slices, not str",
+                     id="grid-list"),
+        pytest.param(lambda doc: doc["net"]["weights"][0].__setitem__(0, "x"),
+                     "malformed model file: could not convert string to float: 'x'",
+                     id="string-weight"),
+    ])
+    def test_malformed_model_file_message(
+        self, pipeline, model_text, tmp_path, capsys, damage, message
+    ):
+        doc = json.loads(model_text)
+        damage(doc)
+        broken = tmp_path / "broken.json"
+        broken.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run_cli("predict", "--model", str(broken), "--data", str(pipeline["test"]),
+                       "--out", str(tmp_path / "curves.csv")) == 1
+        assert capsys.readouterr().err == f"error: {broken}: {message}\n"
+
     def test_unknown_flag_exits_one(self):
         assert run_cli("fit", "--frobnicate") == 1
 

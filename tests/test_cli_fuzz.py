@@ -4,15 +4,17 @@ A dataset CSV, a truth file, a model file of each method and a fit config
 are cut short, have bytes changed or deleted, or get tokens inserted that
 readers trip on. Beside them run fixed extreme values: a config whose
 learning rate, weight decay or dropout is 1e300, -0.0 or 0.9999999999999999,
-a training set with one covariate scaled by 1e200 or with no events, and,
-per method, a model whose outputs hold NaN.
+a config of learning rate 1e300 over batches of 16, a training set with one
+covariate scaled by 1e200 or with no events, and, per method, a model whose
+outputs hold NaN and one whose second cut is the JSON integer 10**400.
 Every command run on them must exit 0, 1 or 2 with at most one line on
 stderr and no traceback, each Python warning counted as the two lines it
 would print outside pytest, and that line names the damaged file at most
-once; on exit 0 every report, model and log written
-must be strict JSON and every curves file must hold survival values in
-[0, 1], and on exit 2 the line is a numerical failure. The cases come from
-one fixed seed, so a run repeats exactly, and they reach all three exits.
+once and holds no Python exception repr; on exit 0 every report, model and
+log written must be strict JSON and every curves file must hold survival
+values in [0, 1], and on exit 2 the line is a numerical failure. The cases
+come from one fixed seed, so a run repeats exactly, and they reach all
+three exits.
 """
 
 import csv
@@ -37,6 +39,8 @@ SMALL_FIT = ["--m", "5", "--width", "8", "--depth", "1", "--max-epochs", "2", "-
 
 
 NUMBER = re.compile(rb"-?[0-9][0-9.eE+-]*")
+# such as KeyError('cuts') or OverflowError('int too large to convert to float')
+EXCEPTION_REPR = re.compile(r"\w+(Error|Exception)\(")
 
 
 def damage(data: bytes, rng) -> bytes:
@@ -94,6 +98,10 @@ def value_cases(files, root):
             path = root / f"{key}_{value!r}.json"
             path.write_text(json.dumps({**config, key: value}))
             yield "config", path
+    # eight batches per epoch, so the training loss is checked before the validation loss
+    path = root / "lr_1e300_batch_16.json"
+    path.write_text(json.dumps({**config, "batch_size": 16, "lr": 1e300}))
+    yield "config", path
     # the training set with its first covariate scaled by 1e200, then with no events
     header, *rows = files["train"].read_text().splitlines()
     rows = [row.split(",") for row in rows]
@@ -114,6 +122,12 @@ def value_cases(files, root):
         net["biases"][0] = [1e308] * len(net["biases"][0])
         net["weights"][-1] = [(-1.0) ** k for k in range(fan_in) for _ in range(fan_out)]
         path = root / f"{method}_nan_outputs.json"
+        path.write_text(json.dumps(doc))
+        yield method, path
+        # an integer float() cannot hold
+        doc = json.loads(files[method].read_text())
+        doc["grid"]["cuts"][1] = 10**400
+        path = root / f"{method}_huge_cut.json"
         path.write_text(json.dumps(doc))
         yield method, path
 
@@ -203,6 +217,8 @@ def test_damaged_inputs_exit_cleanly(inputs, tmp_path, capsys):
                 problems.append(f"stderr {err!r}, warnings {[str(w.message) for w in caught]}")
             if err.count(str(path)) > 1:
                 problems.append(f"stderr names the damaged file more than once: {err!r}")
+            if EXCEPTION_REPR.search(err):
+                problems.append(f"stderr holds a Python exception repr: {err!r}")
             if code == 0:
                 problems += check_outputs(out)
             if code == 2 and not err.startswith("numerical failure: "):

@@ -17,6 +17,7 @@ from survnet.grid import (
     locate_times,
 )
 from survnet.km import KaplanMeierCurve
+from survnet.metrics import EvalGrid
 from survnet.sim import GammaSet
 
 from oracles import km_quantile_search
@@ -278,3 +279,21 @@ def test_constructor_leaves_the_callers_array_writeable(build, attr, values):
     assert not getattr(built, attr).flags.writeable
     a[...] = 0.0
     np.testing.assert_array_equal(getattr(built, attr), values)
+
+
+# Records build from keywords named as their attributes and compare and hash
+# by identity, so two records of equal arrays are two distinct set members.
+@pytest.mark.parametrize("cls, fields", [
+    (TimeGrid, {"cuts": [0.0, 1.0, 2.0]}),
+    (DiscreteLabels, {"idx": [1, 2], "event": [1, 0], "frac": [0.5, 0.25]}),
+    (KaplanMeierCurve, {"times": [1.0, 2.0], "surv": [0.75, 0.5]}),
+    (GammaSet, {"gamma": [[0.5] * 9]}),
+    (EvalGrid, {"times": [1.0, 2.0]}),
+    (Standardizer, {"means": [0.5, -0.25], "stds": [1.0, 2.0]}),
+], ids=["grid", "labels", "km", "gamma", "eval-grid", "standardizer"])
+def test_records_build_from_keywords_and_compare_by_identity(cls, fields):
+    first, second = cls(**fields), cls(**fields)
+    for name, values in fields.items():
+        np.testing.assert_array_equal(getattr(first, name), values)
+    assert first == first and first != second
+    assert hash(first) == hash(first) and len({first, second}) == 2
