@@ -104,9 +104,8 @@ class _Parser(argparse.ArgumentParser):
 def _merge(args: argparse.Namespace, defaults: dict) -> dict:
     """Defaults < --config file < flags; config values get the checks flags get."""
     cfg = dict(defaults)
-    config_path = getattr(args, "config", None)
-    if config_path:
-        with ds._open(config_path) as fh:
+    if args.config:
+        with ds._open(args.config) as fh:
             loaded = _read_json(fh)
             unknown = set(loaded) - set(defaults)
             if unknown:
@@ -120,7 +119,7 @@ def _merge(args: argparse.Namespace, defaults: dict) -> dict:
                     )
                 cfg[key] = float(value) if isinstance(defaults[key], float) else value
     for key in defaults:
-        value = getattr(args, key, None)
+        value = getattr(args, key)
         if value is not None:
             cfg[key] = value
     return cfg
@@ -169,15 +168,12 @@ def save_model(path, method, time_grid, net, standardizer) -> None:
 def load_model(path):
     with ds._open(path) as fh:
         doc = _read_json(fh)
-        for key in ("format_version", "method", "grid", "net", "standardizer"):
-            if key not in doc:
-                raise SchemaError(f"model file is missing {key!r}")
-        version = doc["format_version"]
-        if version != FORMAT_VERSION:
-            raise SchemaError(f"format_version {version!r} is not {FORMAT_VERSION!r}")
-        if doc["method"] not in METHODS:
-            raise SchemaError(f"unknown method {doc['method']!r}")
         try:
+            version = doc["format_version"]
+            if version != FORMAT_VERSION:
+                raise SchemaError(f"format_version {version!r} is not {FORMAT_VERSION!r}")
+            if doc["method"] not in METHODS:
+                raise SchemaError(f"unknown method {doc['method']!r}")
             time_grid = grid_.TimeGrid(doc["grid"]["cuts"])
             net = net_.net_from_dict(doc["net"])
             std = ds.Standardizer(doc["standardizer"]["means"], doc["standardizer"]["stds"])
@@ -187,7 +183,7 @@ def load_model(path):
             raise SchemaError("model file holds a number beyond float range") from None
         except (TypeError, ValueError) as exc:
             raise SchemaError(f"malformed model file: {exc}") from None
-        except ValidationError as exc:  # a grid, network or standardizer the constructors reject
+        except ValidationError as exc:  # the checks above, or a value a constructor rejects
             raise SchemaError(str(exc)) from None
         # json.loads accepts NaN and Infinity
         if not all(np.isfinite(a).all() for a in (*net.weights, *net.biases, std.means)):

@@ -45,10 +45,6 @@ class TimeGrid:
         return self.cuts.size - 1
 
     @property
-    def deltas(self) -> np.ndarray:
-        return np.diff(self.cuts)
-
-    @property
     def t_max(self) -> float:
         return float(self.cuts[-1])
 

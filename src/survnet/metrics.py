@@ -154,9 +154,9 @@ def mse_vs_truth(curves, truth, eval_grid: EvalGrid) -> float:
 
     The truth is an individuals x times array, or a sim.GammaSet whose exact
     curves sim.true_survival computes; that array then takes the squared
-    errors in place. Curves are evaluated _BLOCK_ROWS rows at a time into one
-    reused buffer; only the squared errors are held in full, and one mean
-    sums them as an unblocked one would.
+    errors in place. Curves are evaluated _BLOCK_ROWS rows at a time; only the
+    squared errors are held in full, and one mean sums them as an unblocked
+    one would.
     """
     times = eval_grid.times
     n = curves.n
@@ -172,13 +172,10 @@ def mse_vs_truth(curves, truth, eval_grid: EvalGrid) -> float:
                 f"truth has shape {truth.shape}, expected {shape} (individuals x times)"
             )
         squared = np.empty(shape)
-    buf = np.empty(min(_BLOCK_ROWS, n) * times.size)
     for lo in range(0, n, _BLOCK_ROWS):
         hi = min(lo + _BLOCK_ROWS, n)
-        r = hi - lo
-        surv = curves.rows(lo, hi).evaluate(times, out=buf[: r * times.size].reshape(-1, r).T)
         block = squared[lo:hi]
-        np.subtract(truth[lo:hi], surv, out=block)
+        np.subtract(truth[lo:hi], curves.rows(lo, hi).evaluate(times), out=block)
         np.square(block, out=block)
     return float(np.mean(squared))
 

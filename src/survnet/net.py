@@ -307,12 +307,16 @@ def net_to_dict(net: Mlp) -> dict:
 
 
 def net_from_dict(doc: dict) -> Mlp:
-    widths = [int(w) for w in doc["widths"]]
+    widths, weights = doc["widths"], doc["weights"]
+    if len(widths) != len(weights) + 1:
+        raise ValidationError(f"{len(weights)} layers need {len(weights) + 1} widths")
+    if not all(type(w) is int and w > 0 for w in widths):  # a bool is an int too
+        raise ValidationError("widths must be positive integers")
     ws = []
-    for flat, fan_in, fan_out in zip(doc["weights"], widths[:-1], widths[1:]):
+    for flat, fan_in, fan_out in zip(weights, widths[:-1], widths[1:]):
         arr = np.asarray(flat, dtype=float)
         if arr.size != fan_in * fan_out:
             raise ValidationError("weight array size disagrees with widths")
         ws.append(arr.reshape(fan_in, fan_out))
     bs = [np.asarray(b, dtype=float) for b in doc["biases"]]
-    return Mlp(tuple(ws), tuple(bs), float(doc.get("dropout", 0.0)))
+    return Mlp(tuple(ws), tuple(bs), float(doc["dropout"]))

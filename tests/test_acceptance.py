@@ -154,7 +154,7 @@ def test_criterion_04_poisson_equivalence():
     labels = continuous_labels(data, time_grid)
 
     def poisson_nll(logits):
-        eta_rate = softplus(logits) / time_grid.deltas[None, :]
+        eta_rate = softplus(logits) / np.diff(time_grid.cuts)[None, :]
         total = 0.0
         for i in range(n):
             k = labels.idx[i]

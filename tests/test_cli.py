@@ -488,6 +488,25 @@ class TestModelFile:
         pytest.param(lambda doc: doc["net"]["weights"][0].__setitem__(0, "x"),
                      "malformed model file: could not convert string to float: 'x'",
                      id="string-weight"),
+        # widths of 45, 16 and 5 for the two layers
+        pytest.param(lambda doc: doc["net"]["widths"].extend([99, 7]),
+                     "2 layers need 3 widths", id="extra-widths"),
+        pytest.param(lambda doc: doc["net"]["widths"].__setitem__(1, 16.7),
+                     "widths must be positive integers", id="fractional-width"),
+        pytest.param(lambda doc: doc["net"]["widths"].__setitem__(1, float("inf")),
+                     "widths must be positive integers", id="infinite-width"),
+        pytest.param(lambda doc: doc["net"]["widths"].__setitem__(1, "1e400"),
+                     "widths must be positive integers", id="1e400-width"),
+        pytest.param(lambda doc: doc["net"]["widths"].__setitem__(1, True),
+                     "widths must be positive integers", id="bool-width"),
+        pytest.param(lambda doc: doc["net"]["widths"].__setitem__(1, 0),
+                     "widths must be positive integers", id="zero-width"),
+        # every missing key, top-level or nested, is worded alike
+        *(pytest.param(lambda doc, key=key: doc.pop(key), f"model file is missing {key!r}",
+                       id=f"no-{key}")
+          for key in ("format_version", "method", "grid", "net", "standardizer")),
+        pytest.param(lambda doc: doc["net"].pop("dropout"),
+                     "model file is missing 'dropout'", id="no-dropout"),
     ])
     def test_malformed_model_file_message(
         self, pipeline, model_text, tmp_path, capsys, damage, message
@@ -495,7 +514,8 @@ class TestModelFile:
         doc = json.loads(model_text)
         damage(doc)
         broken = tmp_path / "broken.json"
-        broken.write_text(json.dumps(doc))
+        # json.dumps cannot write 1e400, which json reads as infinity; the string stands in
+        broken.write_text(json.dumps(doc).replace('"1e400"', "1e400"))
         capsys.readouterr()
         assert run_cli("predict", "--model", str(broken), "--data", str(pipeline["test"]),
                        "--out", str(tmp_path / "curves.csv")) == 1
