@@ -45,7 +45,9 @@ GRID_SCHEMES = ("equidistant", "km-quantile")
 INTERPOLATIONS = ("none", "cdi", "chi")
 
 CHOICES = {"method": METHODS, "grid_scheme": GRID_SCHEMES, "interp": INTERPOLATIONS}
-LOWER_BOUNDS = {"depth": 0, "num_times": 1, "ibs_points": 2}
+LOWER_BOUNDS = {"n": 1, "m": 1, "width": 1, "batch_size": 1, "max_epochs": 1, "patience": 1,
+                "num_times": 1, "ibs_points": 2, "seed": 0, "design_seed": 0, "depth": 0,
+                "weight_decay": 0}
 
 SIMULATE_DEFAULTS = {
     "n": 1000,
@@ -314,14 +316,14 @@ def run_fit(cfg) -> int:
 
 
 def _parse_times(raw: str) -> np.ndarray:
-    try:
-        times = np.array([float(v) for v in raw.split(",") if v.strip() != ""])
+    try:  # an empty entry, or an empty string, is no number
+        times = np.array([float(v) for v in raw.split(",")])
     except ValueError:
         raise ValidationError(f"cannot parse times {raw!r}") from None
     if not np.isfinite(times).all():
         raise ValidationError(f"times must be finite, got {raw!r}")
-    if times.size == 0 or np.any(np.diff(times) <= 0):
-        raise ValidationError("times must be increasing and nonempty")
+    if np.any(np.diff(times) <= 0):
+        raise ValidationError(f"times must be increasing, got {raw!r}")
     return times
 
 
@@ -336,7 +338,7 @@ def _model_curves(cfg):
 
 def run_predict(cfg) -> int:
     time_grid, data, curve = _model_curves(cfg)
-    times = (_parse_times(cfg["times"]) if cfg["times"]
+    times = (_parse_times(cfg["times"]) if cfg["times"] is not None
              else np.linspace(0.0, time_grid.t_max, cfg["num_times"]))
     write_curves_csv(cfg["out"], times, curve.evaluate(times))
     print(f"wrote {data.n} curves at {times.size} times -> {cfg['out']}")

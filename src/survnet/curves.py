@@ -3,9 +3,9 @@
 A curve stores the survival values at the grid cuts for one or more
 individuals sharing a grid; the kind decides how values are read between the
 cuts: as a right-continuous step function, linearly in survival (constant
-density per interval), linearly in cumulative hazard (constant hazard per
-interval), or from per-interval hazard masses for the piecewise-exponential
-form. All kinds extend beyond the last cut by the value there.
+density per interval), or linearly in cumulative hazard (constant hazard per
+interval), which pc-hazard curves sum from their hazard masses. All kinds
+extend beyond the last cut by the value there.
 """
 
 from __future__ import annotations
@@ -64,10 +64,10 @@ class SurvivalCurve:
     def rows(self, start: int, stop: int) -> "SurvivalCurve":
         """The curves of individuals start to stop - 1, read the same way.
 
-        The selection reads slices of this curve's tables, built here if need be.
+        The selection reads a slice of this curve's table, built here if need be.
         """
         sub = self._select(slice(start, stop))
-        sub._cache = tuple(t[:, start:stop] for t in self._tables())
+        sub._cache = self._table()[:, start:stop]
         return sub
 
     def take(self, indices) -> "SurvivalCurve":
@@ -95,10 +95,11 @@ class SurvivalCurve:
         """Survival at the given time(s): shape (n,) for a scalar, (n, T) else.
 
         Gathers whole rows of the reading's cached table, one per time, and
-        applies the reading's ufuncs in place, with at most one scratch array.
-        The result is a new column-major (n, T) array, or ``out`` when given,
-        which must be a column-major float64 array of that shape (a scalar
-        time counts as T = 1).
+        applies the reading's ufuncs in place, with at most one scratch array:
+        step reads the table, the other kinds interpolate it linearly, and chi
+        and pc-hazard then take exp(-x). The result is a new column-major
+        (n, T) array, or ``out`` when given, which must be a column-major
+        float64 array of that shape (a scalar time counts as T = 1).
         """
         scalar = np.ndim(times) == 0
         ts = np.atleast_1d(np.asarray(times, dtype=float))
@@ -111,20 +112,16 @@ class SurvivalCurve:
             and out.dtype == np.float64 and out.flags.f_contiguous
         ):
             raise ValidationError(f"out must be a column-major float64 array of shape {shape}")
-        table = self._tables()
+        table = self._table()
         if self.kind == "step":
             # the last cut at or before each time
-            np.take(table[0], k - (ts < self.grid.cuts[k]), axis=0, out=out.T, mode="clip")
+            np.take(table, k - (ts < self.grid.cuts[k]), axis=0, out=out.T, mode="clip")
             return out[:, 0] if scalar else out
         scratch = np.empty(shape, order="F")
-        np.take(table[0], k - 1, axis=0, out=out.T, mode="clip")
-        if self.kind == "pc-hazard":
-            # base + eta * rho
-            np.take(table[1], k - 1, axis=0, out=scratch.T, mode="clip")
-        else:
-            # a * (1 - rho) + b * rho, in survival (cdi) or cumulative hazard (chi)
-            np.multiply(out, 1.0 - rho, out=out)
-            np.take(table[0], k, axis=0, out=scratch.T, mode="clip")
+        # a * (1 - rho) + b * rho, in survival (cdi) or cumulative hazard (chi, pc-hazard)
+        np.take(table, k - 1, axis=0, out=out.T, mode="clip")
+        np.multiply(out, 1.0 - rho, out=out)
+        np.take(table, k, axis=0, out=scratch.T, mode="clip")
         np.multiply(scratch, rho, out=scratch)
         np.add(out, scratch, out=out)
         if self.kind != "cdi":
@@ -132,19 +129,20 @@ class SurvivalCurve:
             np.exp(out, out=out)
         return out[:, 0] if scalar else out
 
-    def _tables(self) -> tuple:
-        """The reading's lookup tables, transposed to (m + 1) x n, built once.
+    def _table(self) -> np.ndarray:
+        """The reading's read-only lookup table, (m + 1) x n, built once.
 
         Row j holds every individual's value at cut j: survival for step and
-        cdi, -log(max(survival, SURVIVAL_FLOOR)) for chi, and for pc-hazard
-        the cumulative hazard plus a second table of the masses (m rows).
+        cdi, -log(max(survival, SURVIVAL_FLOOR)) for chi, and the cumulative
+        hazard for pc-hazard, with +inf held at the largest float so that a
+        weight rho = 0 on it gives 0, not NaN.
         """
         if self._cache is None:
             full = np.empty((self.grid.m + 1, self.n))
             if self.kind == "pc-hazard":
                 full[0] = 0.0
                 np.cumsum(self.eta.T, axis=0, out=full[1:])
-                tables = (full, np.ascontiguousarray(self.eta.T))
+                np.minimum(full, np.finfo(float).max, out=full)
             else:
                 full[0] = 1.0
                 full[1:] = self.values.T
@@ -152,10 +150,8 @@ class SurvivalCurve:
                     np.maximum(full, SURVIVAL_FLOOR, out=full)
                     np.log(full, out=full)
                     np.negative(full, out=full)
-                tables = (full,)
-            for t in tables:
-                t.setflags(write=False)
-            self._cache = tables
+            full.setflags(write=False)
+            self._cache = full
         return self._cache
 
     def __repr__(self) -> str:

@@ -158,7 +158,9 @@ def reference_td_concordance(curves, durations, events):
 def reference_evaluate(curve, times):
     """SurvivalCurve.evaluate as it was before the cached, in-place kernel.
 
-    Survival at the given time(s): shape (n,) for a scalar, (n, T) else.
+    Survival at the given time(s): shape (n,) for a scalar, (n, T) else. A
+    pc-hazard curve reads as chi of its own cumulative hazard, without chi's
+    survival floor.
     """
     from survnet.curves import SURVIVAL_FLOOR
     from survnet.errors import ValidationError
@@ -176,16 +178,15 @@ def reference_evaluate(curve, times):
     elif self.kind == "cdi":
         k, rho = locate_times(ts, self.grid)
         out = full[:, k - 1] * (1.0 - rho) + full[:, k] * rho
-    elif self.kind == "chi":
-        k, rho = locate_times(ts, self.grid)
-        hazard_cum = -np.log(np.maximum(full, SURVIVAL_FLOOR))
-        out = np.exp(-(hazard_cum[:, k - 1] * (1.0 - rho) + hazard_cum[:, k] * rho))
     else:
         k, rho = locate_times(ts, self.grid)
-        base = np.concatenate(
-            [np.zeros((self.n, 1)), np.cumsum(self.eta, axis=1)], axis=1
-        )
-        out = np.exp(-(base[:, k - 1] + self.eta[:, k - 1] * rho))
+        if self.kind == "chi":
+            hazard_cum = -np.log(np.maximum(full, SURVIVAL_FLOOR))
+        else:  # pc-hazard, +inf held at the largest float so that rho = 0 on it gives 0
+            hazard_cum = np.minimum(np.concatenate(
+                [np.zeros((self.n, 1)), np.cumsum(self.eta, axis=1)], axis=1
+            ), np.finfo(float).max)
+        out = np.exp(-(hazard_cum[:, k - 1] * (1.0 - rho) + hazard_cum[:, k] * rho))
     return out[:, 0] if scalar else out
 
 

@@ -12,7 +12,7 @@ import pytest
 import survnet
 from survnet import cli
 from survnet.curves import SurvivalCurve
-from survnet.dataset import SurvivalDataset, write_csv
+from survnet.dataset import SurvivalDataset, load_csv, write_csv
 from survnet.grid import TimeGrid
 from survnet.sim import SimConfig, generate_dataset, write_truth_csv
 
@@ -138,6 +138,18 @@ class TestFit:
         )
         assert code == 1
 
+    def test_empty_training_file_is_one_line(self, pipeline, tmp_path, capsys):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("")
+        model = tmp_path / "model.json"
+        capsys.readouterr()
+        assert run_cli("fit", "--train", str(empty), "--val", str(pipeline["val"]),
+                       "--out", str(model)) == 1
+        assert capsys.readouterr().err == (
+            f"error: {empty}: empty file, a header row is required\n"
+        )
+        assert not model.exists()
+
     def test_diverged_fit_warns_and_still_succeeds(self, pipeline, tmp_path, capsys):
         model = tmp_path / "model.json"
         capsys.readouterr()
@@ -239,7 +251,9 @@ class TestPredictAndEvaluate:
         assert_one_line_error(capsys)
         assert not curves_csv.exists()
 
-    @pytest.mark.parametrize("times", ["nan", "1,nan", "inf", "0.5,-inf"])
+    # and times that do not parse (an empty entry included) or do not increase
+    @pytest.mark.parametrize("times", ["nan", "1,nan", "inf", "0.5,-inf", "a,b", "", "1,,2",
+                                       "2,1"])
     def test_non_finite_times_exit_one(self, pipeline, tmp_path, capsys, times):
         model = tmp_path / "model.json"
         assert run_cli(*fit_args(pipeline, model)) == 0
@@ -251,6 +265,34 @@ class TestPredictAndEvaluate:
         ) == 1
         assert_one_line_error(capsys)
         assert not curves_csv.exists()
+
+    def test_given_times_are_written(self, pipeline, tmp_path):
+        model = tmp_path / "model.json"
+        assert run_cli(*fit_args(pipeline, model, method="pc-hazard")) == 0
+        curves_csv = tmp_path / "curves.csv"
+        assert run_cli(
+            "predict", "--model", str(model), "--data", str(pipeline["test"]),
+            "--times", "0,0.5,7.25,30,1e3", "--out", str(curves_csv),
+        ) == 0
+        method, time_grid, net, std = cli.load_model(model)
+        covariates = std.apply(load_csv(pipeline["test"])).covariates
+        times = np.array([0.0, 0.5, 7.25, 30.0, 1e3])
+        expected = cli.predict_curves(method, net, time_grid, covariates).evaluate(times)
+        table = np.loadtxt(curves_csv, delimiter=",", skiprows=1)
+        assert np.array_equal(table[:, 0], times)
+        assert np.array_equal(table[:, 1:], expected.T)
+
+    def test_durations_at_a_single_point_exit_one(self, pipeline, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        assert run_cli(*fit_args(pipeline, model)) == 0
+        test = load_csv(pipeline["test"])
+        events = np.zeros(test.n, dtype=int)
+        events[: test.n // 2] = 1  # half events, half censorings, all at time 5
+        tied = tmp_path / "tied.csv"
+        write_csv(SurvivalDataset(np.full(test.n, 5.0), events, test.covariates), tied)
+        capsys.readouterr()
+        assert run_cli("evaluate", "--model", str(model), "--data", str(tied)) == 1
+        assert capsys.readouterr().err == "error: observed times span a single point\n"
 
     @pytest.mark.parametrize("ibs_points", ["-5", "0", "1"])
     def test_ibs_points_below_two_exits_one(self, pipeline, tmp_path, capsys, ibs_points):
@@ -507,6 +549,9 @@ class TestModelFile:
           for key in ("format_version", "method", "grid", "net", "standardizer")),
         pytest.param(lambda doc: doc["net"].pop("dropout"),
                      "model file is missing 'dropout'", id="no-dropout"),
+        pytest.param(lambda doc: doc.update(method="cox"), "unknown method 'cox'", id="cox"),
+        pytest.param(lambda doc: doc["grid"].update(cuts=[0]),
+                     "a grid needs at least two cut points", id="one-cut"),
     ])
     def test_malformed_model_file_message(
         self, pipeline, model_text, tmp_path, capsys, damage, message
@@ -565,28 +610,44 @@ class TestOptions:
         assert f"{key!r} must be one of" in assert_one_line_error(capsys)
         assert not (tmp_path / "out").exists()
 
+    # the lower bounds checked before any file is read
+    LOWS = {"seed": 0, "design_seed": 0, "depth": 0, "weight_decay": 0, "n": 1, "m": 1,
+            "width": 1, "batch_size": 1, "max_epochs": 1, "patience": 1}
+
     @pytest.mark.parametrize("via", ["flag", "config"])
     @pytest.mark.parametrize("command, key, value", [
         ("simulate", "seed", -1), ("simulate", "design_seed", -2), ("fit", "seed", -3),
         ("fit", "depth", -1), ("fit", "weight_decay", float("nan")),
         ("fit", "lr", float("nan")), ("fit", "lr", float("inf")),
+        ("simulate", "n", 0), ("fit", "m", 0), ("fit", "width", 0), ("fit", "batch_size", 0),
+        ("fit", "max_epochs", 0), ("fit", "patience", 0), ("fit", "weight_decay", -1.0),
     ])
     def test_negative_seed_or_depth_or_non_finite_rate_exits_one(
         self, pipeline, tmp_path, capsys, via, command, key, value
     ):
         out = tmp_path / "out"
-        argv = {"simulate": ["simulate", "--n", "10"],
-                "fit": ["fit", "--train", str(pipeline["train"]), "--val", str(pipeline["val"]),
-                        "--m", "5", "--max-epochs", "1"]}[command] + ["--out", str(out)]
+        low = self.LOWS.get(key)
+        below = low is not None and value < low
+        data = tmp_path / "missing.csv" if below else None
+        flags = {"simulate": {"n": 10},
+                 "fit": {"train": data or pipeline["train"], "val": data or pipeline["val"],
+                         "m": 5, "max_epochs": 1}}[command]
+        flags.pop(key, None)
+        argv = [command, "--out", str(out)]
+        for name, given in flags.items():
+            argv += ["--" + name.replace("_", "-"), str(given)]
+        flag = "--" + key.replace("_", "-")
         if via == "flag":
-            argv += ["--" + key.replace("_", "-"), str(value)]
+            argv += [flag, str(value)]
         else:
             cfg_path = tmp_path / "cfg.json"
             cfg_path.write_text(json.dumps({key: value}))
             argv += ["--config", str(cfg_path)]
         capsys.readouterr()
         assert run_cli(*argv) == 1
-        assert_one_line_error(capsys)
+        err = assert_one_line_error(capsys)
+        if below:
+            assert err == f"error: {flag} must be at least {low}, got {value}\n"
         assert not out.exists()
 
     def test_readme_flags_exist(self):

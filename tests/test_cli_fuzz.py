@@ -6,7 +6,8 @@ readers trip on. Beside them run fixed extreme values: a config whose
 learning rate, weight decay or dropout is 1e300, -0.0 or 0.9999999999999999,
 a config of learning rate 1e300 over batches of 16, a training set with one
 covariate scaled by 1e200 or with no events, and, per method, a model whose
-outputs hold NaN and one whose second cut is the JSON integer 10**400.
+outputs hold NaN, one whose first output is +inf for every row and one whose
+second cut is the JSON integer 10**400.
 Every command run on them must exit 0, 1 or 2 with at most one line on
 stderr and no traceback, each Python warning counted as the two lines it
 would print outside pytest, and that line names the damaged file at most
@@ -27,6 +28,8 @@ import numpy as np
 import pytest
 
 from survnet import cli
+from survnet.dataset import load_csv
+from survnet.net import forward
 
 N_CASES = 300
 # 1e300 overflows once multiplied; the last two are the non-finite literals
@@ -124,12 +127,30 @@ def value_cases(files, root):
         path = root / f"{method}_nan_outputs.json"
         path.write_text(json.dumps(doc))
         yield method, path
+        yield method, infinite_output_model(files, method, root)
         # an integer float() cannot hold
         doc = json.loads(files[method].read_text())
         doc["grid"]["cuts"][1] = 10**400
         path = root / f"{method}_huge_cut.json"
         path.write_text(json.dumps(doc))
         yield method, path
+
+
+def infinite_output_model(files, method, root):
+    """The method's model with its first output overflowing to +inf for every row.
+
+    Output 0 gets bias 1.7e308 and weight 1e308 from every hidden unit, so any
+    positive hidden activation carries it past the largest float.
+    """
+    doc = json.loads(files[method].read_text())
+    net = doc["net"]
+    fan_in, fan_out = net["widths"][-2:]
+    for k in range(fan_in):
+        net["weights"][-1][k * fan_out] = 1e308
+    net["biases"][-1][0] = 1.7e308
+    path = root / f"{method}_inf_outputs.json"
+    path.write_text(json.dumps(doc))
+    return path
 
 
 def commands(target, damaged, files, out):
@@ -238,3 +259,20 @@ def test_damaged_inputs_exit_cleanly(inputs, tmp_path, capsys):
     # the damage must leave some runs succeeding and make others fail
     assert 0 < exits.count(0) < len(exits)
     assert {0, 1, 2} <= set(exits)
+
+
+@pytest.mark.parametrize("interp", cli.INTERPOLATIONS)
+@pytest.mark.parametrize("method", cli.METHODS)
+def test_infinite_outputs_give_curves_in_the_unit_interval(inputs, tmp_path, method, interp):
+    model = infinite_output_model(inputs, method, tmp_path)
+    _, time_grid, net, std = cli.load_model(model)
+    covariates = std.apply(load_csv(inputs["test"])).covariates
+    with np.errstate(over="ignore"):
+        assert np.isposinf(forward(net, covariates)[:, 0]).all()
+    out = {name: tmp_path / f"out.{name}" for name in ("report", "model", "log", "curves")}
+    assert cli.main(["predict", "--model", str(model), "--data", str(inputs["test"]),
+                     "--interp", interp, "--out", str(out["curves"])]) == 0
+    assert check_outputs(out) == []
+    with open(out["curves"], newline="") as fh:
+        _, first, *_ = csv.reader(fh)
+    assert float(first[0]) == 0.0 and all(float(v) == 1.0 for v in first[1:])

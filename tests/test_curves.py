@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from oracles import reference_evaluate
 from survnet.errors import ValidationError
-from survnet.grid import TimeGrid
+from survnet.grid import TimeGrid, locate_times
+from survnet.losses import sigmoid, softplus
 from survnet.curves import (
     KINDS,
     SurvivalCurve,
@@ -112,6 +113,27 @@ class TestPcHazardCurve:
         for got, want in ((curve.values, built.values), (curve.eta, eta)):
             assert got.tobytes() == want.tobytes() and not got.flags.writeable
 
+    def test_close_to_the_piecewise_exponential_formula(self):
+        # exp(-(H[k-1] + eta[k] * rho)), the per-interval form of the same curve
+        curve = irregular_curve("pc-hazard", 300, 11)
+        cuts = curve.grid.cuts
+        between = np.random.default_rng(11).uniform(0, 1.5 * cuts[-1], 500)
+        ts = np.concatenate([[0.0], cuts, between])
+        k, rho = locate_times(ts, curve.grid)
+        base = np.concatenate([np.zeros((curve.n, 1)), np.cumsum(curve.eta, axis=1)], axis=1)
+        old = np.exp(-(base[:, k - 1] + curve.eta[:, k - 1] * rho))
+        np.testing.assert_allclose(curve.evaluate(ts), old, atol=1e-12, rtol=0)
+
+    def test_infinite_mass_reads_zero_from_its_interval_on(self):
+        eta = np.array([[np.inf, 1.0], [0.5, np.inf], [0.5, 1.0]])
+        ts = np.array([0.0, 1e-300, 5.0, 10.0, 10.5, 15.0, 20.0, 30.0])
+        got = pc_hazard_curve(eta, GRID2).evaluate(ts)
+        assert (got[:, 0] == 1.0).all()
+        assert (got[0, 1:] == 0.0).all()
+        np.testing.assert_array_equal(got[1, :4], np.exp(-0.05 * ts[:4]))
+        assert (got[1, 4:] == 0.0).all()
+        assert (got[2] > 0.0).all()
+
 
 class TestInterpolate:
     def test_cdi_linear_midpoint(self):
@@ -196,6 +218,21 @@ class TestMonotonicityAndIdentity:
         np.testing.assert_allclose(
             step.with_kind("chi").evaluate(ts), pc.evaluate(ts), atol=1e-12, rtol=0
         )
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_infinite_outputs_read_one_at_zero_and_finite_after(self, kind):
+        # rows of all +inf, all -inf, and each sign in turn, as a network may output
+        outputs = np.array([[np.inf] * 3, [-np.inf] * 3, [np.inf, -np.inf, np.inf],
+                            [-np.inf, np.inf, -np.inf], [np.inf, 0.3, -1.0]])
+        grid = TimeGrid([0.0, 1.0, 2.5, 4.0])
+        curves = ([pc_hazard_curve(softplus(outputs), grid)] if kind == "pc-hazard" else
+                  [surv_from_hazard(sigmoid(outputs), grid).with_kind(kind),
+                   surv_from_pmf(outputs, grid).with_kind(kind)])
+        ts = np.array([0.0, 1e-300, 0.5, 1.0, 1.7, 2.5, 3.0, 4.0, 9.0])
+        for curve in curves:
+            got = curve.evaluate(ts)
+            assert (got[:, 0] == 1.0).all()
+            assert ((got >= 0.0) & (got <= 1.0)).all()
 
 
 class TestSurvivalCurveContainer:
