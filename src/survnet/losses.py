@@ -175,12 +175,9 @@ def nll_pc_hazard(logits, labels: DiscreteLabels, grad: bool = True) -> LossOutp
     idx = labels.idx
     event = labels.event
     frac = labels.frac
-    bad = (idx < 1) & ((event == 1) | (frac > 0))
-    if np.any(bad):
-        raise ValidationError(
-            "nll_pc_hazard: records with an event or positive fraction need "
-            "interval index >= 1"
-        )
+    # DiscreteLabels already rejects an observed event at index 0
+    if np.any((idx < 1) & (frac > 0)):
+        raise ValidationError("nll_pc_hazard: a positive fraction needs interval index >= 1")
     frac = np.where((event == 1) & (frac <= 0.0), MIN_EVENT_FRAC, frac)
 
     before = np.arange(m)[None, :] < (idx - 1)[:, None]

@@ -12,15 +12,11 @@ buffer; the network is built once over row-major views of it and the Adam
 moments are flat arrays of the same length, so one step is three vectorized
 lines doing per element what a per-array update would.
 
-Every pass runs in a workspace: preallocated pre-activations, activations,
-deltas and a flat gradient laid out like the parameters. A fit allocates one
-for its batch size and one for its validation rows; the forward matmuls and
-the backward pass write into those buffers with the same operations, in the
-same order, as the allocating formulas they replace, and take half the time
-those do. The batch rows, the dropout masks and the Adam update are plain
-expressions: writing them into buffers is no faster. A pass called without a
-workspace allocates one for itself and runs the same code. Validation losses
-are asked for their value alone.
+Each pass allocates its results. The forward pass adds the biases to its
+matmul products in place and rectifies them in place, so a hidden layer holds
+one array, and keeps each layer's input and dropout mask for the backward
+pass, which masks its deltas where those inputs are positive. Validation
+losses are asked for their value alone.
 """
 
 from __future__ import annotations
@@ -94,57 +90,27 @@ def _param_views(buffer, widths):
     return tuple(views[:n_layers]), tuple(views[n_layers:])
 
 
-class _Workspace:
-    """Buffers for passes of up to ``rows`` rows through networks of ``widths``.
-
-    A forward pass writes its pre-activations and activations into
-    leading-row views of these and keeps its dropout masks beside them; a
-    backward pass writes its deltas and its gradient, laid out as one flat
-    buffer like the training parameters (all weights, then all biases).
-    Backward buffers are allocated on first use, so an evaluation-only
-    workspace holds only what a forward pass writes. Passes through these
-    buffers take half the time of passes that allocate their results.
-    """
-
-    def __init__(self, widths, rows: int):
-        self.widths, self.rows = tuple(widths), rows
-        self.zs = [np.empty((rows, w)) for w in self.widths[1:]]
-        self.acts = [np.empty((rows, w)) for w in self.widths[1:-1]]
-        self.masks = [None] * len(self.acts)
-        self.grad = None
-
-    def gradient(self):
-        """Weight and bias views of the flat gradient, allocated with the deltas once."""
-        if self.grad is None:
-            widths = self.widths
-            self.grad = np.empty(sum(a * b + b for a, b in zip(widths[:-1], widths[1:])))
-            self.grads = _param_views(self.grad, widths)
-            self.deltas = [np.empty_like(a) for a in self.acts]
-        return self.grads
-
-
-def _forward_cached(net: Mlp, x, training: bool, rng, workspace=None):
-    """Outputs and backward's cache (x, workspace, dropout used) of one pass."""
+def _forward_cached(net: Mlp, x, training: bool, rng):
+    """Outputs and backward's cache (each layer's input, dropout masks) of one pass."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if x.shape[1] != net.widths[0]:
         raise ValidationError(
             f"input has {x.shape[1]} columns, network expects {net.widths[0]}"
         )
     use_dropout = training and net.dropout > 0.0
-    rows = x.shape[0]
-    work = _Workspace(net.widths, rows) if workspace is None else workspace
     n_layers = len(net.weights)
-    a = x
+    acts, masks = [x], []
     for layer, (w, b) in enumerate(zip(net.weights, net.biases)):
-        z = np.matmul(a, w, out=work.zs[layer][:rows])
+        z = acts[-1] @ w
         z += b
         if layer < n_layers - 1:
-            a = np.maximum(z, 0.0, out=work.acts[layer][:rows])
+            np.maximum(z, 0.0, out=z)
             if use_dropout:
                 keep = 1.0 - net.dropout
-                work.masks[layer] = mask = (rng.random(a.shape) < keep) / keep
-                a *= mask
-    return z, (x, work, use_dropout)
+                masks.append((rng.random(z.shape) < keep) / keep)
+                z *= masks[-1]
+            acts.append(z)
+    return z, (acts, masks)
 
 
 def forward(net: Mlp, x):
@@ -156,24 +122,23 @@ def forward(net: Mlp, x):
 def backward(net: Mlp, cache, grad_out):
     """Parameter gradients given the gradient at the outputs.
 
-    They are written into the flat gradient buffer of the forward pass's
-    workspace and returned as its per-array views.
+    A unit's delta is kept where its rectified, dropped-out activation is
+    positive: exactly where its pre-activation is, since a dropped unit's
+    delta is already zero and NaN compares false either way.
     """
-    x, work, dropout_used = cache
-    grads_w, grads_b = work.gradient()
+    acts, masks = cache
+    n_layers = len(net.weights)
+    grads_w, grads_b = [None] * n_layers, [None] * n_layers
     delta = np.asarray(grad_out, dtype=float)
-    rows = delta.shape[0]
-    for layer in range(len(net.weights) - 1, -1, -1):
-        a = x if layer == 0 else work.acts[layer - 1][:rows]
-        np.matmul(a.T, delta, out=grads_w[layer])
-        np.sum(delta, axis=0, out=grads_b[layer])
+    for layer in range(n_layers - 1, -1, -1):
+        grads_w[layer] = acts[layer].T @ delta
+        grads_b[layer] = delta.sum(axis=0)
         if layer > 0:
-            da = np.matmul(delta, net.weights[layer].T, out=work.deltas[layer - 1][:rows])
-            if dropout_used:
-                da *= work.masks[layer - 1][:rows]
-            da *= work.zs[layer - 1][:rows] > 0
-            delta = da
-    return list(grads_w), list(grads_b)
+            delta = delta @ net.weights[layer].T
+            if masks:
+                delta *= masks[layer - 1]
+            delta *= acts[layer] > 0
+    return grads_w, grads_b
 
 
 @dataclass(frozen=True)
@@ -237,10 +202,6 @@ def fit(net: Mlp, loss_fn, train_x, train_labels, val_x, val_labels, cfg: TrainC
 
     model = over(theta)
     n = train_x.shape[0]
-    work = _Workspace(widths, min(cfg.batch_size, n))
-    val_work = _Workspace(widths, val_x.shape[0])
-    work.gradient()
-    grad = work.grad
     moment1 = np.zeros_like(theta)
     moment2 = np.zeros_like(theta)
     step = 0
@@ -256,13 +217,14 @@ def fit(net: Mlp, loss_fn, train_x, train_labels, val_x, val_labels, cfg: TrainC
         for b in range(n_batches):
             sel = perm[b * cfg.batch_size : (b + 1) * cfg.batch_size]
             xb = train_x[sel]
-            out, cache = _forward_cached(model, xb, training=True, rng=rng, workspace=work)
+            out, cache = _forward_cached(model, xb, training=True, rng=rng)
             result = loss_fn(out, train_labels.take(sel))
             if not np.isfinite(result.value):
                 raise NumericalError(
                     f"non-finite training loss in epoch {epoch}, batch {b}"
                 )
-            backward(model, cache, result.grad)
+            grads_w, grads_b = backward(model, cache, result.grad)
+            grad = np.concatenate((*grads_w, *grads_b), axis=None)
             lr = learning_rate_at(cfg, epoch + b / n_batches)
             step += 1
             c1 = 1.0 - ADAM_BETA1**step
@@ -273,8 +235,7 @@ def fit(net: Mlp, loss_fn, train_x, train_labels, val_x, val_labels, cfg: TrainC
             if cfg.weight_decay > 0:
                 theta -= lr * cfg.weight_decay * theta
             batch_losses.append(result.value)
-        val_out, _ = _forward_cached(model, val_x, training=False, rng=None, workspace=val_work)
-        val_loss = loss_fn(val_out, val_labels, grad=False).value
+        val_loss = loss_fn(forward(model, val_x), val_labels, grad=False).value
         if not np.isfinite(val_loss):
             raise NumericalError(f"non-finite validation loss in epoch {epoch}")
         log.append(

@@ -19,8 +19,9 @@ The ``verbatim_*`` functions are the library's allocating kernels copied
 unchanged apart from their names: ``verbatim_sigmoid``,
 ``verbatim_nll_logistic_hazard``, ``verbatim_nll_pmf``,
 ``verbatim_nll_pc_hazard``, ``verbatim_forward_cached`` and
-``verbatim_backward``, as they stood before the training workspace and the
-lean loss kernels. The in-place kernels are held to them bit for bit.
+``verbatim_backward``, as they stood before the lean loss kernels and the
+in-place rectifier. The lean losses, and the network passes that rectify in
+place and mask deltas on activations, are held to them bit for bit.
 """
 
 from collections import namedtuple
@@ -299,11 +300,11 @@ def pc_hazard_nll_naive(logits, idx, event, frac):
     return total / n
 
 
-# -- Verbatim copies of the allocating kernels that the in-place ones replace.
-# They are the kernels as they stood before the training workspace and the
-# lean losses, unchanged apart from their names, so the bit-exactness tests
-# compare against the formulas themselves rather than a restatement of the
-# new code.
+# -- Verbatim copies of the allocating kernels that the library's replace.
+# They are the kernels as they stood before the lean losses and the in-place
+# rectifier, unchanged apart from their names, so the bit-exactness tests
+# compare the lean losses and the network passes against the formulas
+# themselves rather than a restatement of the new code.
 
 _VERBATIM_LOG_SOFTPLUS_CUTOFF = -15.0
 _VERBATIM_MIN_EVENT_FRAC = 1e-7

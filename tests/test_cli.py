@@ -13,7 +13,9 @@ import survnet
 from survnet import cli
 from survnet.curves import SurvivalCurve
 from survnet.dataset import SurvivalDataset, load_csv, write_csv
+from survnet.errors import ValidationError
 from survnet.grid import TimeGrid
+from survnet.net import init_mlp
 from survnet.sim import SimConfig, generate_dataset, write_truth_csv
 
 
@@ -281,6 +283,12 @@ class TestPredictAndEvaluate:
         table = np.loadtxt(curves_csv, delimiter=",", skiprows=1)
         assert np.array_equal(table[:, 0], times)
         assert np.array_equal(table[:, 1:], expected.T)
+
+    def test_predict_curves_rejects_an_unknown_method(self):
+        # load_model already rules such a method out for every command
+        net = init_mlp([2, 3])
+        with pytest.raises(ValidationError, match="^unknown method 'cox'$"):
+            cli.predict_curves("cox", net, TimeGrid([0.0, 1.0, 2.0, 3.0]), np.zeros((1, 2)))
 
     def test_durations_at_a_single_point_exit_one(self, pipeline, tmp_path, capsys):
         model = tmp_path / "model.json"

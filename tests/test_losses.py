@@ -246,6 +246,21 @@ class TestPcHazard:
         assert np.ptp(diffs) < 1e-8
 
 
+@pytest.mark.parametrize("loss_fn", [nll_logistic_hazard, nll_pmf, nll_pc_hazard],
+                         ids=["lh", "pmf", "pc"])
+class TestBatchChecks:
+    def test_logits_must_be_2d(self, loss_fn):
+        name = loss_fn.__name__
+        with pytest.raises(ValidationError,
+                           match=rf"^{name}: logits must be 2-d \(batch, intervals\)$"):
+            loss_fn(np.zeros(2), DiscreteLabels([1, 1], [1, 0], [1.0, 1.0]))
+
+    def test_label_count_must_match_the_batch(self, loss_fn):
+        name = loss_fn.__name__
+        with pytest.raises(ValidationError, match=f"^{name}: 1 labels for a batch of 2$"):
+            loss_fn(np.zeros((2, 3)), DiscreteLabels([1], [1], [1.0]))
+
+
 class TestCumsumHead:
     def test_basic(self):
         np.testing.assert_array_equal(cumsum_head(np.array([1.0, 2.0, 3.0])), [6, 5, 3])

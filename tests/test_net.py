@@ -87,6 +87,10 @@ class TestForward:
         with pytest.raises(ValidationError):
             forward(net, np.zeros((2, 5)))
 
+    def test_layers_must_chain(self):
+        with pytest.raises(ValidationError, match="^layer 1: input width does not chain$"):
+            Mlp((np.zeros((3, 4)), np.zeros((5, 2))), (np.zeros(4), np.zeros(2)))
+
 
 class TestGradientCheck:
     def test_all_losses_pass(self):
@@ -229,6 +233,12 @@ class TestFit:
         with pytest.raises(NumericalError, match="epoch 0, batch 0"):
             fit(net, exploding, x, labels, x, labels, cfg)
 
+    def test_label_count_must_match_the_rows(self):
+        x = np.zeros((4, 2))
+        labels = DiscreteLabels([1, 1, 1], [0, 1, 0], [1.0, 1.0, 1.0])
+        with pytest.raises(ValidationError, match="^label counts must match the covariate rows$"):
+            fit(init_mlp([2, 3]), nll_logistic_hazard, x, labels, x[:3], labels, TrainConfig())
+
     def test_returns_best_validation_parameters(self):
         rng = np.random.default_rng(30)
         x = rng.normal(size=(32, 3))
@@ -306,20 +316,20 @@ LOSS_PAIRS = {
 
 
 class TestWorkspace:
-    """The in-place passes against tests/oracles.py's allocating ones, bit for bit."""
+    """The training passes against tests/oracles.py's verbatim ones, bit for bit."""
 
     @settings(max_examples=40)
     @given(
         hidden=st.lists(st.integers(1, 7), max_size=2),
         rows=st.integers(1, 9),
-        spare=st.integers(0, 4),
         dropout=st.sampled_from([0.0, 0.3]),
         training=st.booleans(),
         dead=st.booleans(),
+        nan_row=st.booleans(),
         seed=st.integers(0, 2**16),
     )
     def test_passes_equal_the_verbatim_ones(
-        self, hidden, rows, spare, dropout, training, dead, seed
+        self, hidden, rows, dropout, training, dead, nan_row, seed
     ):
         data = np.random.default_rng(seed)
         start = init_mlp([3, *hidden, 4], dropout=dropout, seed=seed)
@@ -330,23 +340,20 @@ class TestWorkspace:
             weights[0], biases[0] = np.zeros_like(weights[0]), np.zeros_like(biases[0])
         net = Mlp(tuple(weights), tuple(biases), dropout)
         x, grad_out = data.normal(size=(rows, 3)), data.normal(size=(rows, 4))
-        # once on its own buffers, once on a larger workspace whose leading
-        # rows a bigger batch has just filled
-        work = net_mod._Workspace(net.widths, rows + spare)
-        filler = data.normal(size=(rows + spare, 3))
-        _, cache = net_mod._forward_cached(net, filler, False, None, workspace=work)
-        net_mod.backward(net, cache, data.normal(size=(rows + spare, 4)))
-        for workspace in (None, work):
-            rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
-            want, cache = verbatim_forward_cached(net, x, training, rng_old)
-            want_w, want_b = verbatim_backward(net, cache, grad_out)
-            got, cache = net_mod._forward_cached(net, x, training, rng_new, workspace=workspace)
-            got_w, got_b = net_mod.backward(net, cache, grad_out)
-            assert same_bits(got, want)
-            for a, b in zip((*got_w, *got_b), (*want_w, *want_b)):
-                assert same_bits(a, b)
-            # dropout drew exactly as many numbers as before
-            assert rng_new.bit_generator.state == rng_old.bit_generator.state
+        if nan_row:
+            # NaN pre-activations: backward masks on the activations, which
+            # must drop these deltas exactly as the pre-activations did
+            x[0] = np.nan
+        rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
+        want, cache = verbatim_forward_cached(net, x, training, rng_old)
+        want_w, want_b = verbatim_backward(net, cache, grad_out)
+        got, cache = net_mod._forward_cached(net, x, training, rng_new)
+        got_w, got_b = net_mod.backward(net, cache, grad_out)
+        assert same_bits(got, want)
+        for a, b in zip((*got_w, *got_b), (*want_w, *want_b)):
+            assert same_bits(a, b)
+        # dropout drew exactly as many numbers as before
+        assert rng_new.bit_generator.state == rng_old.bit_generator.state
 
     @settings(max_examples=20)
     @given(
@@ -361,7 +368,7 @@ class TestWorkspace:
     def test_fit_equals_the_verbatim_training(
         self, method, n, batch_size, dropout, weight_decay, epochs, seed
     ):
-        """Workspace, lean losses and in-place Adam against the per-array loop
+        """Training passes, lean losses and flat Adam against the per-array loop
         of reference_fit running the verbatim passes and losses; batch sizes
         that leave a partial last batch or exceed n included."""
         new_loss, old_loss = LOSS_PAIRS[method]
@@ -473,17 +480,15 @@ class TestWorkspace:
                 ]) == 0
                 assert set(reached) == {method, f"{method} value", labels, builder}
 
-    def test_fit_peak_is_the_workspace_and_does_not_grow(self):
+    def test_fit_peak_is_one_pass_and_does_not_grow(self):
         """Traced peak of fit at n = 5,000, widths 9-64-64-25, batch 256.
 
-        The training workspace (pre-activations, activations, dropout masks
-        and deltas for 256 rows, and the flat gradient), the validation
-        workspace (pre-activations and activations for the 1,000 validation
-        rows), the parameter, best and moment buffers and the permutation
-        stay allocated for the whole fit; on top of them the validation loss
-        holds a few n_val x (m + 1) arrays. Measured 3.96-4.32 MB over the
-        three losses. Before the workspace the peak was 3.55 MB: the per-step
-        arrays were freed before each validation pass.
+        The parameter, best and moment buffers and the permutation stay
+        allocated for the whole fit. The last training batch's cache (layer
+        inputs and dropout masks), outputs and gradients are still held while
+        the validation pass allocates one array per layer for the 1,000
+        validation rows, and then the validation loss holds a few
+        n_val x (m + 1) arrays. Measured 1.99 MB over the three losses.
         """
         rng = np.random.default_rng(0)
         n, n_val, p, m, rows = 5000, 1000, 9, 25, 256
@@ -498,11 +503,11 @@ class TestWorkspace:
         start = init_mlp(widths, dropout=0.1, seed=0)
         n_params = sum(a * b + b for a, b in zip(widths[:-1], widths[1:]))
         outputs, hidden = sum(widths[1:]), sum(widths[1:-1])
-        train_work = 8 * (rows * (outputs + 3 * hidden) + n_params)
-        val_work = 8 * n_val * (outputs + hidden)
-        persistent = train_work + val_work + 8 * (4 * n_params + n)
+        persistent = 8 * (4 * n_params + n)
+        last_batch = 8 * (rows * (p + 2 * hidden + 2 * m) + 2 * n_params)
+        val_pass = 8 * n_val * outputs
         val_loss_arrays = 4 * 8 * n_val * (m + 1)
-        bound = persistent + val_loss_arrays + 256 * 1024
+        bound = persistent + last_batch + val_pass + val_loss_arrays + 256 * 1024
         for loss_fn in (nll_logistic_hazard, nll_pmf, nll_pc_hazard):
             peaks = []
             for epochs in (2, 6):
@@ -551,3 +556,12 @@ class TestConfigValidation:
     def test_init_rejects_negative_seed(self):
         with pytest.raises(ValidationError):
             init_mlp([3, 2], seed=-1)
+
+    def test_init_needs_two_widths(self):
+        with pytest.raises(ValidationError,
+                           match="^widths must list at least input and output sizes$"):
+            init_mlp([3])
+
+    def test_negative_weight_decay(self):
+        with pytest.raises(ValidationError, match="^weight_decay must be nonnegative$"):
+            TrainConfig(weight_decay=-1)

@@ -1,0 +1,31 @@
+"""tools/raise_sites/report.py on a hand-made trace directory."""
+
+import ast
+import importlib.util
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = ROOT / "src" / "survnet"
+
+
+def load_report():
+    spec = importlib.util.spec_from_file_location(
+        "report", ROOT / "tools" / "raise_sites" / "report.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_report_counts_the_one_traced_raise(tmp_path, capsys):
+    raises = sorted((path.name, node.lineno) for path in SOURCES.glob("*.py")
+                    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                    if isinstance(node, ast.Raise))
+    assert raises
+    name, line = raises[0]
+    (tmp_path / "1234.txt").write_text(f"{SOURCES / name}:{line}\n")
+    report = load_report()
+    assert sorted(report.raise_sites()) == raises
+    assert report.main(["report.py", str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"1 of {len(raises)} raise sites reached"
+    assert lines[1:] == [f"  not reached: src/survnet/{n}:{k}" for n, k in raises[1:]]

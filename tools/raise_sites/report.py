@@ -6,8 +6,9 @@
 
 prints ``N of M raise sites reached``, then each raise statement not reached
 as ``path:line``. The sites are the ``raise`` statements of
-src/survnet/*.py, as the CI step that counts them finds them; a site is
-reached when its first line ran (see sitecustomize.py).
+src/survnet/*.py, as ``raise_sites`` finds them for this report and for the
+CI step that counts them; a site is reached when its first line ran (see
+sitecustomize.py).
 """
 
 import ast
