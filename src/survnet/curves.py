@@ -43,14 +43,16 @@ class SurvivalCurve:
             raise ValidationError("survival values must lie in [0, 1]")
         if np.any(np.diff(values, axis=1) > 1e-9):
             raise ValidationError("survival values must be non-increasing")
-        values = np.clip(values, 0.0, 1.0)
-        if kind not in KINDS:
-            raise ValidationError(f"unknown curve kind {kind!r}")
-        if kind == "pc-hazard":
-            raise ValidationError("pc-hazard curves need hazard masses: use pc_hazard_curve")
-        self._set(grid, values, kind, None)
+        self._set(grid, np.clip(values, 0.0, 1.0), kind, None)
 
     def _set(self, grid, values, kind, eta) -> "SurvivalCurve":
+        # every curve, built or selected, passes here: the one check of its kind
+        if kind not in KINDS:
+            raise ValidationError(f"unknown curve kind {kind!r}")
+        if kind == "pc-hazard" and eta is None:
+            raise ValidationError(
+                "cannot read as pc-hazard without hazard masses: use pc_hazard_curve"
+            )
         for arr in (values, eta):
             if arr is not None:
                 arr.setflags(write=False)
@@ -85,10 +87,6 @@ class SurvivalCurve:
 
     def with_kind(self, kind: str) -> "SurvivalCurve":
         """Same discrete values, read with a different scheme between cuts."""
-        if kind not in KINDS:
-            raise ValidationError(f"unknown curve kind {kind!r}")
-        if kind == "pc-hazard" and self.eta is None:
-            raise ValidationError("cannot reinterpret as pc-hazard without hazard masses")
         return self._select(slice(None), kind)
 
     def evaluate(self, times, out=None):

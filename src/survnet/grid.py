@@ -17,6 +17,11 @@ from . import km as km_
 from .errors import ValidationError
 
 
+# Absolute slack when inverting survival levels, so values that reach a level
+# up to float rounding still count as having reached it.
+LEVEL_SLACK = 1e-12
+
+
 class GridDeduplicationWarning(UserWarning):
     """Quantile grid points collided and the grid shrank."""
 
@@ -104,22 +109,23 @@ def equidistant_grid(t_max: float, m: int) -> TimeGrid:
 def km_quantile_grid(data, m: int) -> TimeGrid:
     """Grid whose intervals carry equal drops of the marginal survival estimate.
 
-    The survival curve is estimated by the product-limit method, the target
-    levels step down evenly from 1 to the estimate at the largest observed
-    duration, and each interior cut is the smallest observed drop time at or
-    below its level. The last cut is the largest observed duration. Duplicate
-    cuts are removed; if that shrinks the grid a warning is emitted.
+    The survival curve is estimated by the product-limit method, and the
+    target levels step down evenly from 1 to its last value, the estimate at
+    the largest observed duration. The estimate never rises, so one search
+    inverts it at every level: each interior cut is the smallest drop time at
+    or below its level, or the last drop time where none is. The last cut is
+    the largest observed duration. Duplicate cuts are removed; if that shrinks
+    the grid a warning is emitted.
     """
     if m < 1:
         raise ValidationError("m must be at least 1")
     curve = km_.fit(data.durations, data.events)
     if curve.times.size == 0:
         raise ValidationError("quantile grid needs at least one observed event")
-    t_max = float(data.durations.max())
-    s_end = km_.survival_at(curve, t_max)
-    levels = 1.0 - np.arange(1, m) * (1.0 - s_end) / m
-    interior = [km_.quantile_time(curve, level) for level in levels]
-    cuts = np.sort(np.concatenate([[0.0], interior, [t_max]]))
+    levels = 1.0 - np.arange(1, m) * (1.0 - curve.surv[-1]) / m
+    first = np.searchsorted(-curve.surv, -(levels + LEVEL_SLACK))
+    interior = curve.times[np.minimum(first, curve.times.size - 1)]
+    cuts = np.concatenate([[0.0], interior, [data.durations.max()]])
     cuts = cuts[cuts != np.append(np.nan, cuts[:-1])]  # np.unique imports numpy.ma
     if cuts.size < m + 1:
         warnings.warn(

@@ -12,10 +12,6 @@ import numpy as np
 
 from .errors import ValidationError
 
-# Absolute slack when inverting survival levels, so values that reach a level
-# up to float rounding still count as having reached it.
-LEVEL_SLACK = 1e-12
-
 
 class KaplanMeierCurve:
     """Drop times and the survival estimate just after each drop; it is 1 before the first.
@@ -77,20 +73,3 @@ def _step_value(curve: KaplanMeierCurve, t, side: str) -> np.ndarray | float:
     padded = np.concatenate([[1.0], curve.surv])
     out = padded[np.searchsorted(curve.times, t_arr, side=side)]
     return float(out) if np.isscalar(t) else out
-
-
-def quantile_time(curve: KaplanMeierCurve, level: float) -> float:
-    """Smallest drop time whose survival estimate is at or below ``level``.
-
-    Falls back to the largest drop time when no estimate reaches the level.
-    Levels are compared with a 1e-12 slack so a step equal to the level up to
-    rounding counts as reached.
-    """
-    if curve.times.size == 0:
-        raise ValidationError("curve has no drops, quantiles are undefined")
-    if level > 1.0:
-        raise ValidationError("level must be at most 1")
-    hits = np.nonzero(curve.surv <= level + LEVEL_SLACK)[0]
-    if hits.size:
-        return float(curve.times[hits[0]])
-    return float(curve.times[-1])

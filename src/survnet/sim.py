@@ -200,16 +200,12 @@ def _encode_covariates(latent, coef, u):
 
     The running partial sums of covariate * coefficient are forced to be the
     uniform draws u, so every subset satisfies covariates @ coef == score
-    exactly up to rounding.
+    exactly up to rounding. With the partial sums P = (score, u, 0), covariate
+    k is (P[k - 1] - P[k]) / coef[k], for every k alike.
     """
     n, q = latent.shape
-    s = coef.shape[1]
-    x = np.empty((n, q, s))
-    x[:, :, 0] = (latent - u[:, :, 0]) / coef[None, :, 0]
-    for k in range(1, s - 1):
-        x[:, :, k] = (u[:, :, k - 1] - u[:, :, k]) / coef[None, :, k]
-    x[:, :, s - 1] = u[:, :, s - 2] / coef[None, :, s - 1]
-    return x.reshape(n, q * s)
+    sums = np.concatenate([latent[:, :, None], u, np.zeros((n, q, 1))], axis=2)
+    return ((sums[:, :, :-1] - sums[:, :, 1:]) / coef).reshape(n, -1)
 
 
 def generate_dataset(cfg: SimConfig) -> SimResult:

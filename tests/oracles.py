@@ -636,6 +636,18 @@ def reference_hazard(gamma, times):
     return np.where(logit >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
 
 
+def reference_encode_covariates(latent, coef, u):
+    """The covariate encoding column by column: first, middle and last apart."""
+    n, q = latent.shape
+    s = coef.shape[1]
+    x = np.empty((n, q, s))
+    x[:, :, 0] = (latent - u[:, :, 0]) / coef[None, :, 0]
+    for k in range(1, s - 1):
+        x[:, :, k] = (u[:, :, k - 1] - u[:, :, k]) / coef[None, :, k]
+    x[:, :, s - 1] = u[:, :, s - 2] / coef[None, :, s - 1]
+    return x.reshape(n, q * s)
+
+
 def reference_generate_dataset(cfg, block=4096):
     """The simulator's draw loop in 4,096-row blocks with a fresh array per step.
 
@@ -650,7 +662,7 @@ def reference_generate_dataset(cfg, block=4096):
     coef = sim.design_coefficients(cfg.design_seed)
     latent = cov_rng.uniform(-1.0, 1.0, size=(cfg.n, sim.N_LATENT))
     u = cov_rng.uniform(-1.0, 1.0, size=(cfg.n, sim.N_LATENT, sim.DEFAULT_SUBSET - 1))
-    covariates = sim._encode_covariates(latent, coef, u)
+    covariates = reference_encode_covariates(latent, coef, u)
     gamma = sim.gammas_from_latent(latent).gamma
     times = sim.fine_times()
 

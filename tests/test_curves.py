@@ -257,6 +257,24 @@ class TestSurvivalCurveContainer:
         with pytest.raises(ValidationError, match="pc_hazard_curve"):
             SurvivalCurve(GRID2, [0.9, 0.8], kind="pc-hazard")
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda path: SurvivalCurve(GRID2, [[0.9, 0.8, 0.7]]),
+         "values have 3 columns, grid has 2 intervals"),
+        (lambda path: surv_from_pmf([[0.0, 0.0, 0.0]], GRID2),
+         "logits have 3 columns, grid has 2 intervals"),
+        (lambda path: write_curves_csv(path, [1.0, 2.0], [[0.5]]),
+         "values must have one column per evaluation time"),
+    ], ids=["constructor", "pmf", "csv"])
+    def test_column_counts_checked(self, tmp_path, build, message):
+        with pytest.raises(ValidationError) as info:
+            build(tmp_path / "curves.csv")
+        assert str(info.value) == message
+        assert not (tmp_path / "curves.csv").exists()
+
+    def test_repr_names_kind_and_sizes(self):
+        curve = pc_hazard_curve([[0.1, 0.2]] * 3, GRID2)
+        assert repr(curve) == "SurvivalCurve(kind='pc-hazard', n=3, m=2)"
+
     def test_step_evaluation_right_continuous(self):
         curve = SurvivalCurve(GRID2, [0.8, 0.4])
         np.testing.assert_allclose(

@@ -217,6 +217,18 @@ class TestLoadCsvFastPath:
         with pytest.raises(UnicodeDecodeError):
             load_csv(path)
 
+    def test_decode_error_in_a_decodable_file_is_raised_as_it_came(self, tmp_path):
+        # decoding again from byte 0 succeeds, so the error raised inside stands
+        path = tmp_path / "plain.csv"
+        path.write_text("duration,event\n1.0,1\n")
+        injected = UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte")
+        with pytest.raises(UnicodeDecodeError) as info:
+            with dataset._open(path) as fh:
+                fh.read()
+                raise injected
+        assert info.value is injected
+        assert info.value.reason == f"{path}: invalid start byte"
+
     def test_undecodable_byte_is_placed_by_its_offset_in_the_file(self, tmp_path):
         # past the first 8 KB, the chunk a text file decodes at a time
         head = b"duration,event,x0\n" + b"1.0,1,0.5\n" * 3000 + b"2.0,0,"
@@ -331,6 +343,30 @@ class TestValidation:
         message = "row 2: non-finite value inf in column 'age'"
         with pytest.raises(ValidationError, match=re.escape(message)):
             SurvivalDataset([1.0, 2.0], [1, 0], [[0.0, 1.0], [np.inf, 0.0]], ["age", "dose"])
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: SurvivalDataset([[1.0]], [1], [[0.0]]), "durations must be a 1-d array"),
+        (lambda: SurvivalDataset([1.0], [1], [0.0]), "covariates must be a 2-d array"),
+        (lambda: SurvivalDataset([], [], np.zeros((0, 1))), "a dataset needs at least one record"),
+        (lambda: SurvivalDataset([1.0, 2.0], [1], [[0.0], [1.0]]),
+         "durations, events and covariates disagree on n"),
+        (lambda: SurvivalDataset([1.0], [1], [[0.0]], ["age", "dose"]),
+         "covariate_names length must equal p"),
+        (lambda: split(make_dataset(), (0.5, 0.5), seed=0),
+         "fractions must be three positive numbers"),
+        (lambda: split(make_dataset(), (0.5, 0.75, -0.25), seed=0),
+         "fractions must be three positive numbers"),
+    ], ids=["durations-2d", "covariates-1d", "empty", "n", "names", "two-fractions",
+            "negative-fraction"])
+    def test_shapes_checked(self, build, message):
+        with pytest.raises(ValidationError) as info:
+            build()
+        assert str(info.value) == message
+
+    def test_len_and_repr(self):
+        data = SurvivalDataset([1.0, 2.0, 3.0], [1, 0, 1], np.zeros((3, 2)))
+        assert len(data) == 3
+        assert repr(data) == "SurvivalDataset(n=3, p=2, events=2)"
 
     def test_arrays_read_only(self):
         data = make_dataset()

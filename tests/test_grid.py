@@ -74,6 +74,10 @@ class TestKmQuantileGrid:
         with pytest.raises(ValidationError):
             km_quantile_grid(data, 3)
 
+    def test_no_intervals_is_an_error(self):
+        with pytest.raises(ValidationError, match="^m must be at least 1$"):
+            km_quantile_grid(dataset_from([1.0, 2.0], [1, 0]), 0)
+
     def test_matches_quantile_search_oracle_random(self):
         rng = np.random.default_rng(5)
         for _ in range(40):
@@ -212,6 +216,7 @@ class TestDiscreteLabels:
     @pytest.mark.parametrize("idx, event, message", [
         ([1], [0.5], "events"), ([1], [np.nan], "events"),
         ([1.7], [1], "indices"), ([np.nan], [0], "indices"), ([np.inf], [0], "indices"),
+        ([1, 2], [0, 1], "^label arrays must be 1-d and of equal length$"),
     ])
     def test_index_and_event_checked_before_the_cast(self, idx, event, message):
         with pytest.raises(ValidationError, match=message):

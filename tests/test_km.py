@@ -37,6 +37,19 @@ class TestFit:
         with pytest.raises(ValidationError, match="within"):
             km.KaplanMeierCurve(np.array([1.0, 2.0]), np.array(surv))
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: km.KaplanMeierCurve([1.0, 2.0], [0.5]),
+         "times and surv must be 1-d arrays of equal length"),
+        (lambda: km.KaplanMeierCurve([2.0, 1.0], [0.75, 0.5]),
+         "drop times must be strictly increasing"),
+        (lambda: km.fit([1.0, 2.0], [1]),
+         "durations and events must be 1-d arrays of equal length"),
+    ], ids=["curve-shapes", "curve-order", "fit-shapes"])
+    def test_shapes_and_order_checked(self, build, message):
+        with pytest.raises(ValidationError) as info:
+            build()
+        assert str(info.value) == message
+
     def test_ties_events_before_censorings(self):
         # the censoring at t=2 stays at risk for the event at t=2
         curve = km.fit([1, 2, 2, 3], [1, 1, 0, 1])
@@ -97,29 +110,6 @@ class TestSurvivalAt:
         for t in rng.uniform(0, 12, 25):
             expected = float(km_survival_at(durations, events, t))
             assert km.survival_at(curve, float(t)) == pytest.approx(expected, abs=1e-12)
-
-
-class TestQuantileTime:
-    def test_uniform_ten_events_median(self):
-        curve = km.fit(np.arange(1.0, 11.0), np.ones(10))
-        assert km.quantile_time(curve, 0.5) == 5.0
-
-    def test_level_one_gives_first_drop(self):
-        curve = km.fit([2.0, 5.0, 9.0], [1, 1, 1])
-        assert km.quantile_time(curve, 1.0) == 2.0
-
-    def test_level_zero_on_curve_reaching_zero(self):
-        curve = km.fit(np.arange(1.0, 11.0), np.ones(10))
-        assert km.quantile_time(curve, 0.0) == 10.0
-
-    def test_unreachable_level_falls_back_to_last_drop(self):
-        curve = km.fit([1, 2, 3, 4], [1, 1, 0, 0])
-        assert km.quantile_time(curve, 0.1) == 2.0
-
-    def test_no_drops_is_an_error(self):
-        curve = km.fit([1, 2], [0, 0])
-        with pytest.raises(ValidationError):
-            km.quantile_time(curve, 0.5)
 
 
 class TestCensoringCurve:

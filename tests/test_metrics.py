@@ -457,6 +457,23 @@ class TestMemory:
         assert peak < 2 * buffer_bytes + buffer_bytes // 2
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda curves: EvalGrid([]), "an evaluation grid needs at least one time"),
+    (lambda curves: td_concordance(curves, [1.0, 2.0], [1]),
+     "durations and events must be 1-d arrays of equal length"),
+    (lambda curves: td_concordance(curves, [1.0, 2.0, 3.0], [1, 0, 1]),
+     "need one curve per individual"),
+    (lambda curves: integrated_brier_score(
+        curves, [1.0, 2.0], [1, 0], EvalGrid([1.5]), km.fit([1.0, 2.0], [0, 1])),
+     "integration needs at least two evaluation times"),
+], ids=["empty-grid", "concordance-shapes", "concordance-curves", "one-time"])
+def test_metric_inputs_checked(build, message):
+    curves = step_curves([0, 1, 2], [[0.8, 0.4], [0.9, 0.5]])
+    with pytest.raises(ValidationError) as info:
+        build(curves)
+    assert str(info.value) == message
+
+
 class TestEvalGrid:
     def test_equidistant_spans_observations(self):
         grid = EvalGrid.equidistant(np.array([2.0, 7.0, 4.0]), 50)

@@ -67,6 +67,16 @@ def row_splits(draw):
     return n, a, draw(st.integers(a + 1, n)), draw(st.integers(0, 2**32 - 1))
 
 
+@pytest.mark.parametrize("build, message", [
+    (GammaSet, "gamma needs 9 columns"),
+    (gammas_from_latent, "latent needs 9 columns"),
+], ids=["gamma", "latent"])
+def test_nine_columns_needed(build, message):
+    with pytest.raises(ValidationError) as info:
+        build(np.zeros((2, 8)))
+    assert str(info.value) == message
+
+
 class TestTrueSurvival:
     def test_zero_hazard_is_flat_one(self):
         # scores chosen so every mixture component sits far below zero
