@@ -19,7 +19,6 @@ import numpy as np
 
 from . import dataset as ds
 from . import grid as grid_
-from . import km as km_
 from . import metrics as metrics_
 from . import net as net_
 from . import sim as sim_
@@ -234,9 +233,8 @@ def evaluate_curves(curve, durations, events, ibs_points: int = 100,
     concordance = metrics_.td_concordance(curve, durations, events)
     reports = [metrics_.report("td_concordance", concordance, n)]
     eval_grid = metrics_.EvalGrid.equidistant(durations, ibs_points)
-    censor_km = km_.fit(durations, 1 - np.asarray(events, dtype=int))
-    ibs, dropped = metrics_.integrated_brier_score(curve, durations, events, eval_grid, censor_km)
-    reports.append(metrics_.report("integrated_brier_score", ibs, n, dropped))
+    ibs = metrics_.integrated_brier_score(curve, durations, events, eval_grid)
+    reports.append(metrics_.report("integrated_brier_score", ibs, n))
     if truth is not None:
         mse = metrics_.mse_vs_truth(curve, truth, metrics_.EvalGrid(truth_times))
         reports.append(metrics_.report("mse_vs_truth", mse, n))

@@ -36,16 +36,18 @@ class KaplanMeierCurve:
 def fit(durations, events) -> KaplanMeierCurve:
     """Product-limit estimate from durations and 0/1 event indicators."""
     durations = np.asarray(durations, dtype=float)
-    events = np.asarray(events, dtype=int)
+    events = np.asarray(events, dtype=float)
     if durations.size == 0:
         raise ValidationError("cannot fit a survival curve on empty input")
     if durations.shape != events.shape or durations.ndim != 1:
         raise ValidationError("durations and events must be 1-d arrays of equal length")
+    if not ((events == 0) | (events == 1)).all():  # before the cast, which reads 0.5 as 0
+        raise ValidationError("events must be 0 or 1")
     if not (durations >= 0).all():  # also rejects NaN
         raise ValidationError("durations must be nonnegative")
     order = np.argsort(durations, kind="stable")
     t = durations[order]
-    e = events[order]
+    e = events[order].astype(int)
     uniq, first = np.unique(t, return_index=True)
     n = t.size
     deaths = np.add.reduceat(e, first)

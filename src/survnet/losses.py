@@ -61,7 +61,7 @@ def log_softplus(x):
     return np.where(x < LOG_SOFTPLUS_CUTOFF, x, np.log(softplus(safe)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LossOutput:
     """Batch-mean loss and its gradient with respect to the network outputs.
 

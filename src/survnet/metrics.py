@@ -2,8 +2,11 @@
 
 Time-dependent concordance compares predicted survival between comparable
 pairs at the earlier member's time. Brier scores weight squared residuals by
-the inverse of the censoring distribution's product-limit estimate. Mean
-squared error against a known truth supports simulation studies.
+the inverse of the censoring distribution's product-limit estimate, fitted on
+the scored individuals themselves. Mean squared error against a known truth
+supports simulation studies. Concordance and the Brier score check their
+outcomes by one rule: durations and events 1-d of equal length, events exactly
+0 or 1, and one curve per individual.
 """
 
 from __future__ import annotations
@@ -62,12 +65,7 @@ def td_concordance(curves, durations, events) -> float:
     (twice the concordant count), so the quotient does not depend on the
     order of the pairs. Every chunk is evaluated into one reused buffer.
     """
-    durations = np.asarray(durations, dtype=float)
-    events = np.asarray(events, dtype=int)
-    if durations.shape != events.shape or durations.ndim != 1:
-        raise ValidationError("durations and events must be 1-d arrays of equal length")
-    if curves.n != durations.shape[0]:
-        raise ValidationError("need one curve per individual")
+    durations, events = _check_outcomes(curves, durations, events)
     times = np.sort(durations[events == 1])
     event_times = times[times != np.append(np.nan, times[:-1])]  # np.unique imports numpy.ma
     if event_times.size == 0:
@@ -112,41 +110,37 @@ def td_concordance(curves, durations, events) -> float:
     return twice_concordant / 2 / comparable
 
 
-def brier_scores(curves, durations, events, eval_grid: EvalGrid, censor_km):
-    """Censoring-weighted Brier score at each evaluation time.
+def brier_scores(curves, durations, events, eval_grid: EvalGrid):
+    """Censoring-weighted Brier score at each evaluation time (Graf et al., 1999).
 
     Individuals with an observed event at or before t contribute their squared
     survival prediction weighted by 1 over the censoring estimate just before
     their own time; individuals still at risk at t contribute the squared
-    complement weighted by 1 over the censoring estimate at t. Terms whose
-    weight denominator is zero are dropped; their count is returned alongside.
+    complement weighted by 1 over the censoring estimate at t. That estimate is
+    the scored individuals' own product-limit fit with flipped indicators: it is
+    positive before each of their times, and 0 at t only once nobody is at risk.
     """
-    durations = np.asarray(durations, dtype=float)
-    events = np.asarray(events, dtype=int)
+    durations, events = _check_outcomes(curves, durations, events)
     times = eval_grid.times
+    censor_km = km_.fit(durations, 1 - events)
     surv = curves.evaluate(times)
     g_at = km_.survival_at(censor_km, times)
     g_before = km_.survival_before(censor_km, durations)
     past = (durations[:, None] <= times[None, :]) & (events[:, None] == 1)
     future = durations[:, None] > times[None, :]
-    w_past = np.where(g_before > 0, 1.0 / np.where(g_before > 0, g_before, 1.0), 0.0)
     w_future = np.where(g_at > 0, 1.0 / np.where(g_at > 0, g_at, 1.0), 0.0)
-    dropped = int((past & (g_before == 0)[:, None]).sum())
-    dropped += int((future & (g_at == 0)[None, :]).sum())
-    total = (surv**2 * past * w_past[:, None] + (1.0 - surv) ** 2 * future * w_future[None, :])
-    return total.sum(axis=0) / durations.shape[0], dropped
+    total = (surv**2 * past * (1.0 / g_before)[:, None]
+             + (1.0 - surv) ** 2 * future * w_future[None, :])
+    return total.sum(axis=0) / durations.shape[0]
 
 
-def integrated_brier_score(curves, durations, events, eval_grid: EvalGrid, censor_km):
-    """Trapezoidal integral of the Brier score, normalized by the grid span.
-
-    Returns (value, count of dropped zero-weight terms).
-    """
+def integrated_brier_score(curves, durations, events, eval_grid: EvalGrid) -> float:
+    """Trapezoidal integral of the Brier score, normalized by the grid span."""
     times = eval_grid.times
     if times.size < 2:
         raise ValidationError("integration needs at least two evaluation times")
-    bs, dropped = brier_scores(curves, durations, events, eval_grid, censor_km)
-    return float(np.trapezoid(bs, times) / (times[-1] - times[0])), dropped
+    bs = brier_scores(curves, durations, events, eval_grid)
+    return float(np.trapezoid(bs, times) / (times[-1] - times[0]))
 
 
 def mse_vs_truth(curves, truth, eval_grid: EvalGrid) -> float:
@@ -180,11 +174,19 @@ def mse_vs_truth(curves, truth, eval_grid: EvalGrid) -> float:
     return float(np.mean(squared))
 
 
-def report(metric: str, value: float, n: int, dropped_terms: int = 0) -> dict:
-    """The JSON record shape used for emitted metric reports."""
-    return {
-        "metric": metric,
-        "value": float(value),
-        "n": int(n),
-        "dropped_terms": int(dropped_terms),
-    }
+def report(metric: str, value: float, n: int) -> dict:
+    """The JSON record of a metric report; "dropped_terms", always 0, keeps its shape."""
+    return {"metric": metric, "value": float(value), "n": int(n), "dropped_terms": 0}
+
+
+def _check_outcomes(curves, durations, events):
+    """Durations and 0/1 events, one of each per curve; 0.5 is rejected, not cast."""
+    durations = np.asarray(durations, dtype=float)
+    events = np.asarray(events, dtype=float)
+    if durations.shape != events.shape or durations.ndim != 1:
+        raise ValidationError("durations and events must be 1-d arrays of equal length")
+    if not ((events == 0) | (events == 1)).all():
+        raise ValidationError("events must be 0 or 1")
+    if curves.n != durations.shape[0]:
+        raise ValidationError("need one curve per individual")
+    return durations, events.astype(int)

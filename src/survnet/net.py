@@ -34,7 +34,7 @@ CYCLE_MULT = 2
 LR_DECAY = 0.8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Mlp:
     """Network parameters. Treated as immutable; training returns a new Mlp."""
 

@@ -96,7 +96,7 @@ class GammaSet:
         return e / e.sum(axis=1, keepdims=True)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimResult:
     data: SurvivalDataset
     truth: np.ndarray

@@ -17,8 +17,10 @@ from survnet.grid import (
     locate_times,
 )
 from survnet.km import KaplanMeierCurve
+from survnet.losses import LossOutput
 from survnet.metrics import EvalGrid
-from survnet.sim import GammaSet
+from survnet.net import Mlp
+from survnet.sim import GammaSet, SimResult
 
 from oracles import km_quantile_search
 
@@ -295,7 +297,13 @@ def test_constructor_leaves_the_callers_array_writeable(build, attr, values):
     (GammaSet, {"gamma": [[0.5] * 9]}),
     (EvalGrid, {"times": [1.0, 2.0]}),
     (Standardizer, {"means": [0.5, -0.25], "stds": [1.0, 2.0]}),
-], ids=["grid", "labels", "km", "gamma", "eval-grid", "standardizer"])
+    (Mlp, {"weights": (np.ones((2, 3)),), "biases": (np.zeros(3),)}),
+    (LossOutput, {"value": 0.5, "grad": np.ones((2, 3))}),
+    (SimResult, {"data": SurvivalDataset([1.0], [1], [[0.5]]), "truth": np.ones((1, 2)),
+                 "times": np.array([1.0, 2.0]), "latent": np.zeros((1, 9)),
+                 "gammas": GammaSet([[0.5] * 9])}),
+], ids=["grid", "labels", "km", "gamma", "eval-grid", "standardizer", "mlp", "loss-output",
+        "sim-result"])
 def test_records_build_from_keywords_and_compare_by_identity(cls, fields):
     first, second = cls(**fields), cls(**fields)
     for name, values in fields.items():

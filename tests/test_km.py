@@ -44,7 +44,8 @@ class TestFit:
          "drop times must be strictly increasing"),
         (lambda: km.fit([1.0, 2.0], [1]),
          "durations and events must be 1-d arrays of equal length"),
-    ], ids=["curve-shapes", "curve-order", "fit-shapes"])
+        (lambda: km.fit(np.arange(1.0, 7.0), [1, 0, 2, 1, 0, 1]), "events must be 0 or 1"),
+    ], ids=["curve-shapes", "curve-order", "fit-shapes", "fit-events"])
     def test_shapes_and_order_checked(self, build, message):
         with pytest.raises(ValidationError) as info:
             build()

@@ -214,9 +214,8 @@ class TestBrier:
         cuts = np.concatenate([[0.0], durations])
         values = (cuts[None, 1:] < durations[:, None]).astype(float)
         curves = SurvivalCurve(TimeGrid(cuts), values)
-        censor_km = km.fit(durations, 1 - events)
         grid = EvalGrid(np.linspace(0.5, 4.0, 20))
-        assert integrated_brier_score(curves, durations, events, grid, censor_km) == (0.0, 0)
+        assert integrated_brier_score(curves, durations, events, grid) == 0.0
 
     def test_constant_half_scores_quarter(self):
         durations = np.linspace(1, 5, 10)
@@ -224,13 +223,11 @@ class TestBrier:
         # the single cut sits before every evaluation time, so the prediction
         # is 0.5 everywhere it is scored
         curves = SurvivalCurve(TimeGrid([0.0, 0.5]), np.full((10, 1), 0.5))
-        censor_km = km.fit(durations, 1 - events)
         grid = EvalGrid(np.linspace(1.0, 5.0, 30))
-        bs, dropped = brier_scores(curves, durations, events, grid, censor_km)
+        bs = brier_scores(curves, durations, events, grid)
         np.testing.assert_allclose(bs, 0.25, atol=1e-12)
-        assert dropped == 0
-        ibs, dropped = integrated_brier_score(curves, durations, events, grid, censor_km)
-        assert ibs == pytest.approx(0.25, abs=1e-12) and dropped == 0
+        ibs = integrated_brier_score(curves, durations, events, grid)
+        assert type(ibs) is float and ibs == pytest.approx(0.25, abs=1e-12)
 
     def test_five_individual_censored_example_matches_oracle(self):
         durations = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
@@ -257,11 +254,11 @@ class TestBrier:
             return float(curves.evaluate(float(t))[i])
 
         expected_bs = brier_direct(surv_at, durations, events, times, g_before, g_at)
-        bs, dropped = brier_scores(curves, durations, events, eval_grid, censor_km)
+        bs = brier_scores(curves, durations, events, eval_grid)
         np.testing.assert_allclose(bs, expected_bs, atol=1e-12)
         expected_ibs = trapezoid(expected_bs, list(times))
-        got, got_dropped = integrated_brier_score(curves, durations, events, eval_grid, censor_km)
-        assert got == pytest.approx(expected_ibs, abs=1e-12) and got_dropped == dropped
+        got = integrated_brier_score(curves, durations, events, eval_grid)
+        assert got == pytest.approx(expected_ibs, abs=1e-12)
 
     def test_no_censoring_reduces_to_unweighted(self):
         rng = np.random.default_rng(3)
@@ -269,10 +266,8 @@ class TestBrier:
         durations = rng.uniform(0.5, 5, n)
         events = np.ones(n, dtype=int)
         curves = surv_from_hazard(rng.uniform(0, 0.5, (n, 5)), TimeGrid(np.linspace(0, 6, 6)))
-        censor_km = km.fit(durations, np.zeros(n, dtype=int))
         times = np.linspace(0.6, 4.9, 12)
-        bs, dropped = brier_scores(curves, durations, events, EvalGrid(times), censor_km)
-        assert dropped == 0
+        bs = brier_scores(curves, durations, events, EvalGrid(times))
         surv = curves.evaluate(times)
         unweighted = np.mean(
             np.where(durations[:, None] <= times[None, :], surv**2, (1 - surv) ** 2),
@@ -280,33 +275,37 @@ class TestBrier:
         )
         np.testing.assert_allclose(bs, unweighted, atol=1e-12)
 
-    def test_zero_weight_terms_dropped_and_counted(self):
-        # a censoring curve fitted on a reference sample can reach zero inside
-        # the evaluated fold's range; the affected at-risk term is dropped
-        censor_km = km.fit([1.0, 2.0], [1, 1])
-        assert km.survival_at(censor_km, 2.5) == 0.0
-        durations = np.array([1.5, 3.0])
-        events = np.array([1, 1])
-        curves = SurvivalCurve(TimeGrid([0.0, 0.5]), np.full((2, 1), 0.5))
-        times = EvalGrid(np.array([1.0, 2.5]))
-        bs, dropped = brier_scores(curves, durations, events, times, censor_km)
-        assert dropped == 1
-        assert np.all(np.isfinite(bs))
-
     def test_same_fold_weights_never_vanish(self):
-        # fitted on the evaluated fold itself, the flipped-indicator curve can
-        # only hit zero after the last at-risk individual, so nothing drops
+        # The censoring estimate is fitted on the scored fold itself: it is
+        # positive before every individual's time and reaches 0 only after the
+        # last one at risk, here a censored largest duration, so no weight
+        # divides by zero even with ties and zero durations.
         rng = np.random.default_rng(5)
-        for _ in range(10):
+        for _ in range(30):
             n = int(rng.integers(3, 30))
-            durations = np.round(rng.uniform(0.5, 8, n), 1)
+            durations = np.round(rng.uniform(0.0, 8.0, n), 0)
+            durations[rng.uniform(size=n) < 0.15] = 0.0
+            durations[0] = 8.0
             events = rng.integers(0, 2, n)
-            events[rng.integers(0, n)] = 1
-            curves = SurvivalCurve(TimeGrid([0.0, 0.1]), np.full((n, 1), 0.5))
+            events[durations == durations.max()] = 0
+            hazards = rng.uniform(0.0, 0.5, (n, 4))
+            curves = surv_from_hazard(hazards, TimeGrid([0.0, 2.0, 4.0, 6.0, 8.0]))
+            eval_grid = EvalGrid.equidistant(durations, 9)
+            times = eval_grid.times
             censor_km = km.fit(durations, 1 - events)
-            grid = EvalGrid(np.linspace(0.5, 8.0, 9))
-            _, dropped = brier_scores(curves, durations, events, grid, censor_km)
-            assert dropped == 0
+            assert km.survival_at(censor_km, times[-1]) == 0.0
+            g_before = {i: km.survival_before(censor_km, durations[i]) for i in range(n)}
+            g_at = {t: km.survival_at(censor_km, t) for t in times}
+            surv = curves.evaluate(times)
+
+            def surv_at(i, t):
+                return float(surv[i, np.searchsorted(times, t)])
+
+            expected = trapezoid(
+                brier_direct(surv_at, durations, events, times, g_before, g_at), list(times))
+            with np.errstate(all="raise"):
+                got = integrated_brier_score(curves, durations, events, eval_grid)
+            assert got == pytest.approx(expected, abs=1e-12)
 
 
 class TestMse:
@@ -463,10 +462,18 @@ class TestMemory:
      "durations and events must be 1-d arrays of equal length"),
     (lambda curves: td_concordance(curves, [1.0, 2.0, 3.0], [1, 0, 1]),
      "need one curve per individual"),
-    (lambda curves: integrated_brier_score(
-        curves, [1.0, 2.0], [1, 0], EvalGrid([1.5]), km.fit([1.0, 2.0], [0, 1])),
+    (lambda curves: integrated_brier_score(curves, [1.0, 2.0], [1, 0], EvalGrid([1.5])),
      "integration needs at least two evaluation times"),
-], ids=["empty-grid", "concordance-shapes", "concordance-curves", "one-time"])
+    (lambda curves: integrated_brier_score(curves, [1.0, 2.0, 3.0], [1, 0, 1], EvalGrid([1, 2])),
+     "need one curve per individual"),
+    (lambda curves: td_concordance(curves, [1.0, 2.0], [1, 0.5]), "events must be 0 or 1"),
+    (lambda curves: td_concordance(curves, [1.0, 2.0], [2, 1]), "events must be 0 or 1"),
+    (lambda curves: integrated_brier_score(curves, [1.0, 2.0], [1, 0.5], EvalGrid([1, 2])),
+     "events must be 0 or 1"),
+    (lambda curves: integrated_brier_score(curves, [1.0, 2.0], [2, 1], EvalGrid([1, 2])),
+     "events must be 0 or 1"),
+], ids=["empty-grid", "concordance-shapes", "concordance-curves", "one-time", "brier-curves",
+        "concordance-event-half", "concordance-event-two", "brier-event-half", "brier-event-two"])
 def test_metric_inputs_checked(build, message):
     curves = step_curves([0, 1, 2], [[0.8, 0.4], [0.9, 0.5]])
     with pytest.raises(ValidationError) as info:
@@ -487,10 +494,10 @@ class TestEvalGrid:
 
 class TestReport:
     def test_record_shape(self):
-        rec = report("integrated_brier_score", 0.125, 100, 3)
+        rec = report("integrated_brier_score", 0.125, 100)
         assert rec == {
             "metric": "integrated_brier_score",
             "value": 0.125,
             "n": 100,
-            "dropped_terms": 3,
+            "dropped_terms": 0,
         }

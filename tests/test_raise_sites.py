@@ -28,10 +28,13 @@ def test_report_counts_the_one_traced_raise(tmp_path, capsys):
     (tmp_path / "1234.txt").write_text(f"{SOURCES / name}:{line}\n")
     report = load_report()
     assert sorted(report.raise_sites()) == raises
-    assert report.main(["report.py", str(tmp_path)]) == 0
+    assert report.main(["report.py", str(tmp_path)]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == f"1 of {len(raises)} raise sites reached"
     assert lines[1:] == [f"  not reached: src/survnet/{n}:{k}" for n, k in raises[1:]]
+    (tmp_path / "5678.txt").write_text("".join(f"{SOURCES / n}:{k}\n" for n, k in raises))
+    assert report.main(["report.py", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == f"{len(raises)} of {len(raises)} raise sites reached\n"
 
 
 def test_tracer_records_the_raise_a_child_reaches(tmp_path):

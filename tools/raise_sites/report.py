@@ -5,7 +5,7 @@
     python tools/raise_sites/report.py /tmp/trace
 
 prints ``N of M raise sites reached``, then each raise statement not reached
-as ``path:line``. The sites are the ``raise`` statements of
+as ``path:line``, and exits 1 when any is not reached. The sites are the ``raise`` statements of
 src/survnet/*.py, as ``raise_sites`` finds them for this report and for the
 CI step that counts them; a site is reached when its first line ran (see
 sitecustomize.py).
@@ -50,7 +50,7 @@ def main(argv):
     print(f"{len(reached)} of {len(sites)} raise sites reached")
     for name, line in sorted(sites - reached):
         print(f"  not reached: src/survnet/{name}:{line}")
-    return 0
+    return 0 if reached == sites else 1
 
 
 if __name__ == "__main__":
